@@ -163,22 +163,24 @@ class VideoCache(ABC):
         invariants — attribute lookups, method binding, structure
         internals — out of the per-request path.  Overrides MUST be
         observably identical to this default: same response sequence,
-        same end state, request by request.  The default simply walks
-        :meth:`handle_span`, which keeps every cache correct.
+        same end state and same probe hook sequence, request by
+        request.  The default simply walks :meth:`handle_span`, which
+        keeps every cache correct.
         """
         return list(map(self.handle_span, ts, videos, b0s, b1s, c0s, c1s))
 
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
+    def handle_span_block_kernel(self, block) -> "tuple[list, list, int]":
         """Vectorized-decision entry point for one packed block.
 
         ``block`` is a :class:`~repro.trace.columnar.BlockView` whose
         chunk columns match this cache's ``chunk_bytes``.  Returns
-        ``(responses, misses)``: the per-request responses plus the
-        ascending index list of every response that is not the interned
-        ``SERVE_HIT`` — precomputed because kernels know which requests
-        they screened, sparing the accounting layer a full scan
+        ``(responses, misses, screened)``: the per-request responses,
+        the ascending index list of every response that is not the
+        interned ``SERVE_HIT`` — precomputed because kernels know which
+        requests they screened, sparing the accounting layer a full scan
         (:meth:`~repro.sim.metrics.MetricsCollector.record_packed_block`
-        patches exactly those indices).
+        patches exactly those indices) — and how many requests the
+        screen decided (the rest are the residue walked one by one).
 
         Kernel overrides classify as much of the block as possible in
         whole-column numpy passes (admission pre-screens, residency
@@ -186,11 +188,14 @@ class VideoCache(ABC):
         only the undecided residue through the scalar per-request code.
         They MUST be observably identical to :meth:`handle_span_block`
         — same responses, same end state — and MUST fall back to it
-        when ``block.vectorized`` is false or a telemetry probe is
-        attached (probe hook ordering is per-request).
+        when ``block.vectorized`` is false.  With a telemetry probe
+        attached they run unchanged and MUST fire probe hooks in
+        per-request order: every request, screened or not, emits
+        exactly the hook sequence :meth:`handle_span` would, with
+        reasons and margins read from live state.
 
         This default is that fallback: the scalar block walk plus a
-        miss scan.
+        miss scan, with nothing screened.
         """
         responses = self.handle_span_block(
             block.ts_l,
@@ -203,7 +208,7 @@ class VideoCache(ABC):
         misses = [
             i for i, response in enumerate(responses) if response is not SERVE_HIT
         ]
-        return responses, misses
+        return responses, misses, 0
 
     # -- introspection (shared by tests, examples and the CDN layer) --------
 

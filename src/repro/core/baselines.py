@@ -153,9 +153,10 @@ class PullThroughLruCache(VideoCache):
           the scalar residue walk.
 
         Observably identical to :meth:`handle_span_block` (the fallback
-        when the block is not vectorized).
+        when the block is not vectorized).  PullLRU fires no probe
+        hooks, so a probed block runs the same walk.
         """
-        if self.probe is not None or not block.vectorized:
+        if not block.vectorized:
             return VideoCache.handle_span_block_kernel(self, block)
         disk_chunks = self.disk_chunks
         disk = self._disk
@@ -176,6 +177,9 @@ class PullThroughLruCache(VideoCache):
         misses: list = []
         miss = misses.append
         hits_valid = True
+        # block index of the first eviction: screened hits from there on
+        # are demoted to the residue walk
+        demoted_at = block.n
         i = -1
         last_t = None
         for t, video, c0, c1, scr in zip(
@@ -209,7 +213,9 @@ class PullThroughLruCache(VideoCache):
                 continue
             evicted = len(entries) + len(missing) - disk_chunks
             if evicted > 0:
-                hits_valid = False
+                if hits_valid:
+                    hits_valid = False
+                    demoted_at = i + 1
                 for _ in range(evicted):
                     del entries[next(iter(entries))]
             else:
@@ -220,7 +226,8 @@ class PullThroughLruCache(VideoCache):
             miss(i)
         if last_t is not None:
             disk.advance_time(last_t)
-        return responses, misses
+        screened = int((screen == 1).sum()) + int((screen[:demoted_at] == 2).sum())
+        return responses, misses, screened
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._disk
@@ -393,11 +400,12 @@ class LfuAdmissionCache(VideoCache):
         Such requests reduce to the counter bumps plus the interned
         REDIRECT; everything else walks the scalar hoisted path.
         Observably identical to :meth:`handle_span_block` (the fallback
-        when the block is not vectorized).
+        when the block is not vectorized).  The hand-fused LFU fires no
+        probe hooks (its policy port LFU-PK does), so a probed block
+        runs the same walk.
         """
-        if self.probe is not None or not block.vectorized:
+        if not block.vectorized:
             return VideoCache.handle_span_block_kernel(self, block)
-        np = kernels._np
         cached = self._cached
         index = cached.raw_index()
 
@@ -406,11 +414,12 @@ class LfuAdmissionCache(VideoCache):
         arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
         counts = kernels.span_resident_counts(block, arrays)
         inv = block.video_inverse()
-        screen = (
+        mask = (
             block.first_occurrence()
             & (snap_hits[inv] + 1 < self.min_video_hits)
             & (counts == 0)
-        ).tolist()
+        )
+        screen = mask.tolist()
 
         disk_chunks = self.disk_chunks
         min_hits = self.min_video_hits
@@ -474,7 +483,7 @@ class LfuAdmissionCache(VideoCache):
             append(serve_response(len(missing), evicted))
             miss(i)
         self._handled = handled
-        return responses, misses
+        return responses, misses, int(mask.sum())
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._cached

@@ -51,7 +51,6 @@ from repro.core.base import (
     VideoCache,
     serve_response,
 )
-from repro.core import kernels
 from repro.core.costs import CostModel
 from repro.structures.ewma import EwmaIat, IatEstimator
 from repro.structures.lru import AccessRecencyList
@@ -214,64 +213,6 @@ class CafeCache(VideoCache):
                 probe.on_fill(now, chunk)
             probe.on_serve(now, len(missing), len(victims))
         return serve_response(len(missing), len(victims))
-
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Pure-hit pre-screen over one packed block.
-
-        A span fully resident at block start stays resident until the
-        first in-block eviction (fills only add chunks), and a pure hit
-        takes one fixed mutation path in :meth:`handle_span`: fold the
-        access into each chunk's EWMA and re-key it in the frequency
-        set — the ghost branch is unreachable (cached and ghost sets
-        are disjoint), the oversized branch impossible (a span larger
-        than the disk cannot be fully resident) and the cost comparison
-        is skipped entirely (serving costs zero).  Screened requests
-        therefore run exactly that grouped record/re-key loop; the
-        first eviction demotes the remaining screened hits back to the
-        scalar walk.  Observably identical to
-        :meth:`handle_span_block` (the fallback when the block is not
-        vectorized or a probe is attached).
-        """
-        if self.probe is not None or not block.vectorized:
-            return VideoCache.handle_span_block_kernel(self, block)
-        uniq, _order, _starts = block.video_groups()
-        arrays = kernels.residency_arrays(uniq, self._video_chunks)
-        counts = kernels.span_resident_counts(block, arrays)
-        screen = (counts == (block.c1s - block.c0s + 1)).tolist()
-
-        stats = self._stats
-        record = stats.record
-        gamma = stats.gamma
-        insert = self._cached.insert
-        handle_span = self.handle_span
-        responses: list = []
-        append = responses.append
-        misses: list = []
-        miss = misses.append
-        hits_valid = True
-        i = -1
-        for t, video, b0, b1, c0, c1 in zip(
-            block.ts_l,
-            block.videos_l,
-            block.b0s_l,
-            block.b1s_l,
-            block.c0s_l,
-            block.c1s_l,
-        ):
-            i += 1
-            if hits_valid and screen[i]:
-                for c in range(c0, c1 + 1):
-                    chunk = (video, c)
-                    insert(chunk, record(chunk, t).key(gamma))
-                append(SERVE_HIT)
-                continue
-            response = handle_span(t, video, b0, b1, c0, c1)
-            if response.evicted_chunks:
-                hits_valid = False
-            append(response)
-            if response is not SERVE_HIT:
-                miss(i)
-        return responses, misses
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._cached

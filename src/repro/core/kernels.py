@@ -1,8 +1,8 @@
 """Shared numpy helpers for the per-cache block decision kernels.
 
 The vectorized kernels (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`
-overrides in :mod:`repro.core.xlru`, :mod:`repro.core.cafe` and
-:mod:`repro.core.baselines`) all follow the same shape: snapshot the
+overrides in :mod:`repro.core.xlru`, :mod:`repro.core.baselines` and
+:mod:`repro.core.policy.kernel`) all follow the same shape: snapshot the
 mutable structures once per block, classify as many requests as
 possible in whole-column numpy passes, then walk only the undecided
 residue through the scalar per-request code.  This module holds the
@@ -76,8 +76,7 @@ def chunks_by_video(chunk_keys: Iterable[Tuple[int, int]]) -> Dict[int, list]:
 
     One pass over the resident set (bounded by the disk size), the raw
     material of :func:`residency_arrays` for caches that key their disk
-    by whole chunk ids (xLRU, pull-through LRU, LFU).  Cafe maintains
-    its per-video chunk sets incrementally and skips this step.
+    by whole chunk ids (pull-through LRU, LFU, policy kernels).
     """
     grouped: Dict[int, list] = {}
     for video, c in chunk_keys:
@@ -93,8 +92,7 @@ def residency_arrays(uniq, grouped: Dict[int, "object"]) -> List[Optional["objec
     """Per-unique-video sorted cached-chunk-number arrays.
 
     ``grouped`` maps video -> iterable of cached chunk numbers (a list
-    from :func:`chunks_by_video` or a set like Cafe's
-    ``_video_chunks``).  Videos with nothing cached get None, letting
+    from :func:`chunks_by_video`).  Videos with nothing cached get None, letting
     the span probe skip them without allocating.
     """
     arrays: List[Optional["object"]] = []

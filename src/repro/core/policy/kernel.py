@@ -37,6 +37,7 @@ every lane the engines provide.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import kernels
@@ -248,61 +249,10 @@ class KernelCache(VideoCache):
         return serve_response(len(missing), evicted)
 
     def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
-        # Hoisted block walk: policy hooks, heap internals and the disk
-        # size bound once per block.  Observably identical to
-        # handle_span element-wise (same hook order, same insert/evict
-        # sequence); with a probe attached the element-wise walk runs
-        # instead so probe hook ordering is trivially preserved.
-        if self.probe is not None:
-            return list(map(self.handle_span, ts, videos, b0s, b1s, c0s, c1s))
-        policy = self.policy
-        on_request = policy.on_request
-        rescore = policy.rescore_hit
-        admit = policy.admit
-        fill_score = policy.fill_score
-        on_evict = policy.on_evict
-        disk_chunks = self.disk_chunks
-        cached = self._cached
-        insert = cached.insert
-        index = cached.raw_index()
-        responses: list = []
-        append = responses.append
-        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
-            on_request(t, video, c0, c1)
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if chunk in index:
-                    score = rescore(t, video, c)
-                    if score is not None:
-                        insert(chunk, score)
-                elif missing is None:
-                    missing = [chunk]
-                else:
-                    missing.append(chunk)
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                continue
-            n_missing = 0 if missing is None else len(missing)
-            if admit(t, video, c0, c1, n_missing) is not None:
-                append(REDIRECT)
-                continue
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = 0
-            need = n_missing - (disk_chunks - len(index))
-            if need > 0:
-                exclude = {(video, c) for c in range(c0, c1 + 1)}
-                for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                    on_evict(chunk)
-                    evicted += 1
-            for chunk in missing:
-                insert(chunk, fill_score(t, chunk[0], chunk[1]))
-            append(serve_response(n_missing, evicted))
-        return responses
+        """Hoisted block walk: :meth:`_walk` with nothing screened."""
+        return self._walk(ts, videos, c0s, c1s, repeat(False))[0]
 
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
+    def handle_span_block_kernel(self, block) -> "tuple[list, list, int]":
         """Generic redirect pre-screen over one packed block.
 
         The engine snapshots span residency at block start and asks the
@@ -310,45 +260,71 @@ class KernelCache(VideoCache):
         sound when additionally it is its video's first in-block
         occurrence (no earlier in-block request changed this video's
         admission state or residency) and none of its span is resident
-        (so skipping the chunk walk mutates nothing).  Screened
-        requests reduce to ``on_request`` plus the interned REDIRECT;
-        everything else walks the scalar hoisted path.  Falls back to
-        the scalar block walk when the policy has no screen, the block
-        is not vectorized, or a probe is attached.
+        (so skipping the chunk walk mutates nothing).  :meth:`_walk`
+        reduces screened requests to ``on_request`` plus the interned
+        REDIRECT.  Nothing is screened when the policy has no screen or
+        the block is not vectorized.
         """
-        if self.probe is not None or not block.vectorized:
-            return VideoCache.handle_span_block_kernel(self, block)
-        policy = self.policy
-        cached = self._cached
-        index = cached.raw_index()
-        uniq, _order, _starts = block.video_groups()
-        arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
-        counts = kernels.span_resident_counts(block, arrays)
-        inv = block.video_inverse()
-        first = block.first_occurrence()
-        mask = policy.screen(block, uniq, inv, counts, first)
-        if mask is None:
-            return VideoCache.handle_span_block_kernel(self, block)
-        screen = (mask & first & (counts == 0)).tolist()
+        screen = None
+        if block.vectorized:
+            index = self._cached.raw_index()
+            uniq, _order, _starts = block.video_groups()
+            arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
+            counts = kernels.span_resident_counts(block, arrays)
+            inv = block.video_inverse()
+            first = block.first_occurrence()
+            mask = self.policy.screen(block, uniq, inv, counts, first)
+            if mask is not None:
+                screen = mask & first & (counts == 0)
+        responses, misses = self._walk(
+            block.ts_l,
+            block.videos_l,
+            block.c0s_l,
+            block.c1s_l,
+            repeat(False) if screen is None else screen.tolist(),
+        )
+        return responses, misses, 0 if screen is None else int(screen.sum())
 
+    def _walk(self, ts, videos, c0s, c1s, screen) -> "tuple[list, list]":
+        """The block walk: policy hooks, probe hooks, heap internals and
+        the disk size bound once per block.
+
+        Observably identical to :meth:`handle_span` element-wise (same
+        policy hook order, same insert/evict sequence, same probe hook
+        sequence).  A true ``screen`` entry marks a proven redirect
+        (see :meth:`handle_span_block_kernel`): it reduces to
+        ``on_request`` plus the interned REDIRECT.  With a probe
+        attached a screened request still runs the (mutation-free)
+        chunk walk and the side-effect-free ``admit``, so its redirect
+        reason comes from live state.  Returns the responses and the
+        ascending indices of the non-hits.
+        """
+        probe = self.probe
+        if probe is not None:
+            on_redirect = probe.on_redirect
+            on_serve = probe.on_serve
+            on_fill = probe.on_fill
+            probe_evict = probe.on_evict
+        nan = float("nan")
+        policy = self.policy
         on_request = policy.on_request
         rescore = policy.rescore_hit
         admit = policy.admit
         fill_score = policy.fill_score
         on_evict = policy.on_evict
         disk_chunks = self.disk_chunks
+        cached = self._cached
         insert = cached.insert
+        index = cached.raw_index()
         responses: list = []
         append = responses.append
         misses: list = []
         miss = misses.append
         i = -1
-        for t, video, c0, c1, scr in zip(
-            block.ts_l, block.videos_l, block.c0s_l, block.c1s_l, screen
-        ):
+        for t, video, c0, c1, scr in zip(ts, videos, c0s, c1s, screen):
             i += 1
             on_request(t, video, c0, c1)
-            if scr:
+            if scr and probe is None:
                 append(REDIRECT)
                 miss(i)
                 continue
@@ -364,15 +340,22 @@ class KernelCache(VideoCache):
                 else:
                     missing.append(chunk)
             if c1 - c0 + 1 > disk_chunks:
+                if probe is not None:
+                    on_redirect(t, "oversized")
                 append(REDIRECT)
                 miss(i)
                 continue
             n_missing = 0 if missing is None else len(missing)
-            if admit(t, video, c0, c1, n_missing) is not None:
+            reason = admit(t, video, c0, c1, n_missing)
+            if reason is not None:
+                if probe is not None:
+                    on_redirect(t, reason)
                 append(REDIRECT)
                 miss(i)
                 continue
             if missing is None:
+                if probe is not None:
+                    on_serve(t, 0, 0)
                 append(SERVE_HIT)
                 continue
             evicted = 0
@@ -381,9 +364,15 @@ class KernelCache(VideoCache):
                 exclude = {(video, c) for c in range(c0, c1 + 1)}
                 for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
                     on_evict(chunk)
+                    if probe is not None:
+                        probe_evict(t, chunk, nan)
                     evicted += 1
             for chunk in missing:
                 insert(chunk, fill_score(t, chunk[0], chunk[1]))
+            if probe is not None:
+                for chunk in missing:
+                    on_fill(t, chunk)
+                on_serve(t, n_missing, evicted)
             append(serve_response(n_missing, evicted))
             miss(i)
         return responses, misses

@@ -24,6 +24,8 @@ is evicted until the disk is full.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.core import kernels
 from repro.core.base import REDIRECT, SERVE_HIT, CacheResponse, VideoCache, serve_response
 from repro.core.costs import CostModel
@@ -127,92 +129,10 @@ class XlruCache(VideoCache):
         return serve_response(len(missing), evicted)
 
     def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
-        """Hoisted block walk over the tracker and disk recency dicts.
+        """Hoisted block walk: :meth:`_walk` with nothing screened."""
+        return self._walk(ts, videos, c0s, c1s, repeat(False))[0]
 
-        Observably identical to :meth:`handle_span` element-wise — same
-        tracker touch, cleanup cadence, admission test, probe-free chunk
-        walk and eviction order — with the structure internals bound
-        once per block instead of once per request.  With a telemetry
-        probe attached the generic element-wise walk runs instead, so
-        probe hook ordering is trivially preserved.
-        """
-        if self.probe is not None:
-            return VideoCache.handle_span_block(
-                self, ts, videos, b0s, b1s, c0s, c1s
-            )
-        alpha = self.cost_model.alpha_f2r
-        disk_chunks = self.disk_chunks
-        cleanup_interval = self._cleanup_interval
-        since = self._requests_since_cleanup
-        tracker = self._tracker
-        tentries = tracker.raw_entries()
-        tpop = tentries.pop
-        disk = self._disk
-        dentries = disk.raw_entries()
-        dpop = dentries.pop
-        inf = float("inf")
-        responses: list = []
-        append = responses.append
-        last_t = None
-        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
-            last = tpop(video, None)
-            tentries[video] = t
-            last_t = t
-            since += 1
-            if since >= cleanup_interval:
-                # _maybe_cleanup_tracker, inlined: drop tracker entries
-                # that can no longer pass the admission test.
-                since = 0
-                if len(dentries) >= disk_chunks:
-                    age = t - next(iter(dentries.values()))
-                    cutoff = t - age / alpha
-                    while tentries:
-                        oldest = next(iter(tentries))
-                        if tentries[oldest] >= cutoff:
-                            break
-                        del tentries[oldest]
-            if last is None:
-                append(REDIRECT)
-                continue
-            if len(dentries) < disk_chunks:
-                age = inf
-            else:
-                age = t - next(iter(dentries.values()))
-            if (t - last) * alpha > age:
-                append(REDIRECT)
-                continue
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                continue
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if dpop(chunk, None) is None:
-                    if missing is None:
-                        missing = [chunk]
-                    else:
-                        missing.append(chunk)
-                else:
-                    dentries[chunk] = t
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = len(dentries) + len(missing) - disk_chunks
-            if evicted > 0:
-                for _ in range(evicted):
-                    del dentries[next(iter(dentries))]
-            else:
-                evicted = 0
-            for chunk in missing:
-                dentries[chunk] = t
-            append(serve_response(len(missing), evicted))
-        self._requests_since_cleanup = since
-        if last_t is not None:
-            tracker.advance_time(last_t)
-            disk.advance_time(last_t)
-        return responses
-
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
+    def handle_span_block_kernel(self, block) -> "tuple[list, list, int]":
         """Vectorized admission pre-screen over one packed block.
 
         Every xLRU request whose response is REDIRECT mutates only the
@@ -236,26 +156,21 @@ class XlruCache(VideoCache):
         * **oversized** — spans larger than the disk redirect on every
           admission path.
 
-        The scalar walk then runs with screened requests reduced to the
+        :meth:`_walk` then runs with screened requests reduced to the
         tracker touch + interned REDIRECT.  Observably identical to
-        :meth:`handle_span_block`, which remains the reference (and the
-        fallback when the block is not vectorized or a probe is
-        attached).
+        :meth:`handle_span_block`, the same walk with nothing screened.
         """
-        if self.probe is not None or not block.vectorized:
-            return VideoCache.handle_span_block_kernel(self, block)
+        if not block.vectorized:
+            responses, misses = self._walk(
+                block.ts_l, block.videos_l, block.c0s_l, block.c1s_l, repeat(False)
+            )
+            return responses, misses, 0
         np = kernels._np
         alpha = self.cost_model.alpha_f2r
         disk_chunks = self.disk_chunks
-        tracker = self._tracker
-        tentries = tracker.raw_entries()
-        tpop = tentries.pop
-        disk = self._disk
-        dentries = disk.raw_entries()
-        dpop = dentries.pop
-
+        dentries = self._disk.raw_entries()
         uniq, _order, _starts = block.video_groups()
-        snap = kernels.snapshot_times(uniq, tentries)
+        snap = kernels.snapshot_times(uniq, self._tracker.raw_entries())
         prev = block.prev_t()
         last_eff = np.where(np.isnan(prev), snap[block.video_inverse()], prev)
         redirect = np.isnan(last_eff)
@@ -264,10 +179,44 @@ class XlruCache(VideoCache):
             ts = block.ts
             redirect |= (ts - last_eff) * alpha > (ts - o0)
         redirect |= (block.c1s - block.c0s + 1) > disk_chunks
-        screen = redirect.tolist()
+        responses, misses = self._walk(
+            block.ts_l, block.videos_l, block.c0s_l, block.c1s_l, redirect.tolist()
+        )
+        return responses, misses, int(redirect.sum())
 
+    def _walk(self, ts, videos, c0s, c1s, screen) -> "tuple[list, list]":
+        """The block walk over the tracker and disk recency dicts.
+
+        Observably identical to :meth:`handle_span` element-wise — same
+        tracker touch, cleanup cadence, admission test, chunk walk,
+        eviction order and probe hook sequence — with the structure
+        internals and the probe hooks bound once per block instead of
+        once per request.  A true ``screen`` entry marks a request
+        proven redirected (see :meth:`handle_span_block_kernel`): it
+        reduces to the tracker touch and the interned REDIRECT.  With a
+        probe attached a screened request still takes the live
+        admission test, which ends in one of the three redirects, so its
+        redirect reason and Eq. 5 margin come from the live tracker
+        entry and cache age, never from the screen's bound.  Returns the
+        responses and the ascending indices of the non-hits.
+        """
+        probe = self.probe
+        if probe is not None:
+            on_margin = probe.on_margin
+            on_redirect = probe.on_redirect
+            on_serve = probe.on_serve
+            on_fill = probe.on_fill
+            on_evict = probe.on_evict
+        alpha = self.cost_model.alpha_f2r
+        disk_chunks = self.disk_chunks
         cleanup_interval = self._cleanup_interval
         since = self._requests_since_cleanup
+        tracker = self._tracker
+        tentries = tracker.raw_entries()
+        tpop = tentries.pop
+        disk = self._disk
+        dentries = disk.raw_entries()
+        dpop = dentries.pop
         inf = float("inf")
         responses: list = []
         append = responses.append
@@ -281,16 +230,15 @@ class XlruCache(VideoCache):
         head_t = 0.0
         i = -1
         last_t = None
-        for t, video, c0, c1, scr in zip(
-            block.ts_l, block.videos_l, block.c0s_l, block.c1s_l, screen
-        ):
+        for t, video, c0, c1, scr in zip(ts, videos, c0s, c1s, screen):
             i += 1
             last = tpop(video, None)
             tentries[video] = t
             last_t = t
             since += 1
             if since >= cleanup_interval:
-                # _maybe_cleanup_tracker, inlined (see handle_span_block)
+                # _maybe_cleanup_tracker, inlined: drop tracker entries
+                # that can no longer pass the admission test.
                 since = 0
                 if len(dentries) >= disk_chunks:
                     if head_key is None:
@@ -302,11 +250,13 @@ class XlruCache(VideoCache):
                         if tentries[oldest] >= cutoff:
                             break
                         del tentries[oldest]
-            if scr:
+            if scr and probe is None:
                 append(REDIRECT)
                 miss(i)
                 continue
             if last is None:
+                if probe is not None:
+                    on_redirect(t, "never-seen")
                 append(REDIRECT)
                 miss(i)
                 continue
@@ -317,11 +267,17 @@ class XlruCache(VideoCache):
                     head_key = next(iter(dentries))
                     head_t = dentries[head_key]
                 age = t - head_t
+            if probe is not None:
+                on_margin(age - (t - last) * alpha)
             if (t - last) * alpha > age:
+                if probe is not None:
+                    on_redirect(t, "stale")
                 append(REDIRECT)
                 miss(i)
                 continue
             if c1 - c0 + 1 > disk_chunks:
+                if probe is not None:
+                    on_redirect(t, "oversized")
                 append(REDIRECT)
                 miss(i)
                 continue
@@ -338,17 +294,28 @@ class XlruCache(VideoCache):
                     if chunk == head_key:
                         head_key = None
             if missing is None:
+                if probe is not None:
+                    on_serve(t, 0, 0)
                 append(SERVE_HIT)
                 continue
             evicted = len(dentries) + len(missing) - disk_chunks
-            if evicted > 0:
-                head_key = None
-                for _ in range(evicted):
-                    del dentries[next(iter(dentries))]
-            else:
+            if evicted <= 0:
                 evicted = 0
+            else:
+                head_key = None
+                if probe is None:
+                    for _ in range(evicted):
+                        del dentries[next(iter(dentries))]
+                else:
+                    for _ in range(evicted):
+                        victim = next(iter(dentries))
+                        on_evict(t, victim, dpop(victim))
             for chunk in missing:
                 dentries[chunk] = t
+            if probe is not None:
+                for chunk in missing:
+                    on_fill(t, chunk)
+                on_serve(t, len(missing), evicted)
             append(serve_response(len(missing), evicted))
             miss(i)
         self._requests_since_cleanup = since

@@ -1,11 +1,20 @@
 """Per-cache probes: pure observers of cache-internal behaviour.
 
 A probe is attached to a cache's ``probe`` attribute (see
-:class:`~repro.core.base.VideoCache`); the cache's hot path calls the
-hooks only when a probe is present, so a probe-free replay pays one
-``is None`` check per request.  Probes never influence decisions —
-the telemetry parity suite holds every algorithm to byte-identical
-totals with probes on and off.
+:class:`~repro.core.base.VideoCache`); the cache's hot paths call the
+hooks only when a probe is present, so a probe-free replay pays a few
+``is None`` checks per request.  Attaching a probe does not change
+which code runs: the hoisted block walks and the vectorized decision
+kernels bind the hooks once per block and fire them inline, in the
+same per-request order as ``handle_span``, so a probed packed replay
+runs the same kernels and screens as a plain one and records a
+registry byte-identical to the object lane's.  Probes never influence
+decisions — the telemetry parity suite holds every algorithm to
+byte-identical totals with probes on and off.
+
+Which caches emit events: xLRU, Cafe and every policy kernel
+(LFU-PK, qLRU, Retention).  PullLRU, the hand-fused LFU, LRU-K and
+GDS fire no hooks; their lanes carry snapshots and gauges only.
 
 What gets captured:
 

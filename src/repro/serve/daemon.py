@@ -40,13 +40,16 @@ from repro.cdn.sharding import shard_of
 from repro.obs.events import EventLog
 from repro.serve.limiter import TokenBucket
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
     decide_and_account,
     decision_response,
     duplicate_response,
     error_response,
+    line_too_long_response,
     new_totals,
     parse_line,
+    read_line,
     shed_response,
 )
 from repro.serve.slo import ServeSLO
@@ -315,12 +318,16 @@ class ServeDaemon:
             raise ValueError("need at least one of unix_path, tcp, stdio")
         if unix_path:
             self._servers.append(
-                await asyncio.start_unix_server(self._handle_conn, path=unix_path)
+                await asyncio.start_unix_server(
+                    self._handle_conn, path=unix_path, limit=MAX_LINE_BYTES
+                )
             )
         if tcp:
             host, port = tcp
             self._servers.append(
-                await asyncio.start_server(self._handle_conn, host, port)
+                await asyncio.start_server(
+                    self._handle_conn, host, port, limit=MAX_LINE_BYTES
+                )
             )
         if stdio:
             self._stdio = True
@@ -422,7 +429,12 @@ class ServeDaemon:
     ) -> None:
         try:
             while not self.state.stopping:
-                line = await reader.readline()
+                line = await read_line(reader)
+                if line is None:
+                    # counted, answered, skipped — like any malformed line
+                    self.slo.count("serve.malformed")
+                    await self._send(writer, line_too_long_response())
+                    continue
                 if not line:
                     break
                 await self._handle_line(line.decode("utf-8", "replace"), writer)
@@ -767,19 +779,23 @@ class ServeDaemon:
 
 
 class _BlockingStdinReader:
-    """``readline`` duck-type over ``sys.stdin`` for non-pipe stdio.
+    """``readuntil`` duck-type over ``sys.stdin`` for non-pipe stdio.
 
     ``connect_read_pipe`` refuses regular files (``repro-serve --stdin
     < requests.jsonl``); reading in the default executor keeps the loop
-    responsive while preserving the one-line-in semantics."""
+    responsive while preserving the one-line-in semantics.  Lines are
+    not length-limited here: a regular file cannot flood the loop."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
 
-    async def readline(self) -> bytes:
-        return await self._loop.run_in_executor(
+    async def readuntil(self, separator: bytes = b"\n") -> bytes:
+        line = await self._loop.run_in_executor(
             None, sys.stdin.buffer.readline
         )
+        if not line.endswith(separator):
+            raise asyncio.IncompleteReadError(line, None)
+        return line
 
 
 class _BlockingStdoutWriter:
@@ -806,7 +822,7 @@ async def _stdio_streams():
     ``repro-serve --stdin < in.jsonl > out.jsonl`` works too."""
     loop = asyncio.get_running_loop()
     try:
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
         )

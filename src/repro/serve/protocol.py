@@ -31,6 +31,7 @@ construction rather than by parallel maintenance.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from typing import Dict, Optional, Tuple
 
@@ -38,13 +39,16 @@ from repro.core.base import Decision, VideoCache
 
 __all__ = [
     "ERROR_CODES",
+    "MAX_LINE_BYTES",
     "OPS",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "parse_line",
+    "read_line",
     "decision_response",
     "duplicate_response",
     "error_response",
+    "line_too_long_response",
     "shed_response",
     "decide_and_account",
     "new_totals",
@@ -71,6 +75,7 @@ OPS = (
 #: Machine-readable failure codes responses may carry.
 ERROR_CODES = (
     "malformed",       # unparseable/invalid line (counted, skipped)
+    "line-too-long",   # line over MAX_LINE_BYTES (counted, skipped)
     "overloaded",      # load shed at admission; retry_after included
     "sequence-gap",    # seq beyond watermark+1; resend from watermark+1
     "stale-timestamp", # t went backwards; consumed but not applied
@@ -80,6 +85,39 @@ ERROR_CODES = (
     "misrouted",       # video does not hash to this shard (not applied)
     "worker-down",     # a fan-out op could not reach a worker shard
 )
+
+
+#: Longest input line the servers buffer (their asyncio stream limit).
+#: A longer line is answered with ``line-too-long`` and its bytes are
+#: discarded through the next newline; the connection stays open.
+MAX_LINE_BYTES = 2**16
+
+
+async def read_line(reader) -> Optional[bytes]:
+    """Read the next newline-framed line from an asyncio stream reader.
+
+    Returns the line (newline included; a final unterminated line
+    without it), ``b""`` at EOF, or None when the line is longer than
+    the reader's limit.  An over-long line is discarded through its
+    newline, so the next call starts on the following line.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    # The overrun bytes are still buffered: drop them, then keep
+    # reading until the newline that ends the over-long line.
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None  # EOF inside the line; the next read returns b""
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 class ProtocolError(Exception):
@@ -171,6 +209,14 @@ def error_response(
     if seq is not None:
         out["seq"] = seq
     return out
+
+
+def line_too_long_response() -> dict:
+    """The answer to an input line longer than :data:`MAX_LINE_BYTES`."""
+    return error_response(
+        "line-too-long",
+        f"line longer than {MAX_LINE_BYTES} bytes; skipped through its newline",
+    )
 
 
 def shed_response(retry_after: float, detail: str = "admission shed") -> dict:

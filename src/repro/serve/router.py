@@ -48,10 +48,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.cdn.sharding import DEFAULT_NUM_BUCKETS, shard_of
 from repro.obs.events import EventLog
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     error_response,
+    line_too_long_response,
     parse_line,
+    read_line,
     shed_response,
 )
 from repro.serve.slo import merged_summary
@@ -139,13 +142,15 @@ class ShardRouter:
         if unix_path:
             self._servers.append(
                 await asyncio.start_unix_server(
-                    self._handle_client, path=unix_path
+                    self._handle_client, path=unix_path, limit=MAX_LINE_BYTES
                 )
             )
         if tcp:
             host, port = tcp
             self._servers.append(
-                await asyncio.start_server(self._handle_client, host, port)
+                await asyncio.start_server(
+                    self._handle_client, host, port, limit=MAX_LINE_BYTES
+                )
             )
         for shard in range(self.num_shards):
             self._tasks.append(
@@ -211,7 +216,11 @@ class ShardRouter:
         state = _ClientState(writer=writer)
         try:
             while not self._stopping:
-                line = await reader.readline()
+                line = await read_line(reader)
+                if line is None:
+                    self._count("router.malformed")
+                    await self._send(writer, line_too_long_response())
+                    continue
                 if not line:
                     break
                 await self._handle_line(line, state)

@@ -90,6 +90,15 @@ def _kernel_native(cache: VideoCache) -> bool:
     )
 
 
+def _screen_yield(screened: Mapping[str, int], count: int) -> dict:
+    """Per-lane screen yield for ``RunReport.extra["screen"]``: how many
+    of the ``count`` requests each lane's decision kernel screened, and
+    the residue it walked request by request."""
+    return {
+        key: {"screened": n, "residue": count - n} for key, n in screened.items()
+    }
+
+
 def _block_collector_ok(collector: MetricsCollector) -> bool:
     """Whether whole-block accounting preserves ``collector`` semantics.
 
@@ -265,7 +274,9 @@ class MultiReplay:
         total = len(sequence) if isinstance(sequence, Sequence) else None
 
         if packed is not None:
-            count, replay_seconds = self._run_packed(packed, keys, progress)
+            count, replay_seconds, screened = self._run_packed(
+                packed, keys, progress
+            )
             self._finish_lanes(count)
             report = RunReport(
                 engine="multireplay",
@@ -275,6 +286,7 @@ class MultiReplay:
                 num_caches=len(keys),
             )
             report.extra["trace_format"] = "packed"
+            report.extra["screen"] = _screen_yield(screened, count)
             if prepare_seconds:
                 report.stages.append(
                     StageTiming("prepare", prepare_seconds, len(offline))
@@ -370,6 +382,7 @@ class MultiReplay:
             num_caches=len(keys),
         )
         report.extra["trace_format"] = "objects"
+        report.extra["screen"] = _screen_yield(dict.fromkeys(keys, 0), count)
         if prepare_seconds:
             report.stages.append(
                 StageTiming("prepare", prepare_seconds, len(offline))
@@ -417,7 +430,7 @@ class MultiReplay:
         packed: PackedTrace,
         keys: list,
         progress: Optional[ProgressCallback],
-    ) -> "tuple[int, float]":
+    ) -> "tuple[int, float, Dict[str, int]]":
         """The packed fast lane: block-at-a-time, cache-major dispatch.
 
         Caches are independent, so handling a whole block through one
@@ -425,7 +438,10 @@ class MultiReplay:
         interleaving of the object path — but lets each lane run as a
         single C-level ``map`` over column slices.  Time order and byte
         ranges were validated at pack time, so no per-request checks
-        run here.
+        run here.  Returns ``(requests, replay seconds, screened)``
+        where ``screened[key]`` counts the requests the lane's decision
+        kernel resolved without the per-request walk (its screen
+        yield; 0 for lanes without a kernel).
         """
         ts, videos, b0s, b1s, c0s, c1s, num_bytes, num_chunks = packed.hot_columns()
         n = len(ts)
@@ -468,6 +484,7 @@ class MultiReplay:
                 kernel = cache.handle_span_block_kernel
             lanes.append(
                 (
+                    key,
                     kernel,
                     cache.handle_span_block,
                     collector.record_packed_block,
@@ -486,6 +503,7 @@ class MultiReplay:
             snap_every = self.telemetry.options.snapshot_every
         last_snap = 0
 
+        screened = dict.fromkeys(keys, 0)
         t0 = time.perf_counter()
         block = PACKED_BLOCK
         for start in range(0, n, block):
@@ -494,6 +512,7 @@ class MultiReplay:
             block_t = view.ts_l
             block_nb = num_bytes[start:stop]
             for (
+                key,
                 kernel,
                 handle_block,
                 record_block,
@@ -503,7 +522,8 @@ class MultiReplay:
                 lane_nc,
             ) in lanes:
                 if kernel is not None and view.vectorized:
-                    responses, misses = kernel(view)
+                    responses, misses, yielded = kernel(view)
+                    screened[key] += yielded
                     record_block(
                         view.ts, view.num_bytes, view.num_chunks, responses, misses
                     )
@@ -529,7 +549,7 @@ class MultiReplay:
         replay_seconds = time.perf_counter() - t0
         if n == 0 and progress is not None:
             progress(0, 0, replay_seconds)
-        return n, replay_seconds
+        return n, replay_seconds, screened
 
 
 def replay(

@@ -220,7 +220,7 @@ class RunReport:
     num_caches: int = 1
     workers: int = 1
     stages: List[StageTiming] = field(default_factory=list)
-    extra: Dict[str, Union[int, float, str]] = field(default_factory=dict)
+    extra: Dict[str, Union[int, float, str, dict]] = field(default_factory=dict)
     #: notable occurrences (faults applied, worker retries, checkpoint
     #: resumes); empty for ordinary runs
     events: List[EngineEvent] = field(default_factory=list)

@@ -52,7 +52,7 @@ __all__ = [
 #: Every registered policy kernel qualifies: KernelCache overrides the
 #: kernel entry point at class level (screen-less policies fall back to
 #: the scalar block walk inside it, which is still worth pinning).
-KERNEL_ALGORITHMS = ("xLRU", "Cafe", "PullLRU", "LFU") + _policy_kernel_names()
+KERNEL_ALGORITHMS = ("xLRU", "PullLRU", "LFU") + _policy_kernel_names()
 
 #: (decision value, filled_chunks, evicted_chunks, occupancy after)
 Outcome = Tuple[str, int, int, int]
@@ -338,7 +338,7 @@ def verify_kernel_lane(
         expected = scalar.handle_span_block(
             view.ts_l, view.videos_l, view.b0s_l, view.b1s_l, view.c0s_l, view.c1s_l
         )
-        got, misses = kernel.handle_span_block_kernel(view)
+        got, misses, _screened = kernel.handle_span_block_kernel(view)
         scalar_metrics.record_packed(view.ts_l, nbytes, nchunks, expected)
         if view.vectorized:
             kernel_metrics.record_packed_block(

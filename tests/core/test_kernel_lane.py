@@ -1,15 +1,19 @@
 """handle_span_block_kernel: vectorized kernels must mirror the scalar walk.
 
-Every online cache overrides
+Every kernel algorithm overrides
 :meth:`~repro.core.base.VideoCache.handle_span_block_kernel` with a
 numpy pre-screen (admission, residency) whose residue falls back to the
 scalar per-request code.  The contract is observable identity with
 :meth:`~repro.core.base.VideoCache.handle_span_block` — same responses,
 same end state — plus the miss-index contract: ``misses`` is exactly
 the ascending index list of every response that is not the interned
-``SERVE_HIT``.  These tests drive kernels over adversarial fuzz traces
-(ties, 1-chunk disks, alpha extremes, oversized spans) and over the
-no-numpy fallback.
+``SERVE_HIT``, and ``screened`` counts at most the block.  These tests
+drive kernels over adversarial fuzz traces (ties, 1-chunk disks, alpha
+extremes, oversized spans) and over the no-numpy fallback.
+
+Probes ride the kernel lane: a probed replay dispatches exactly like a
+plain one, and its probe registry is byte-identical on the object lane,
+the packed kernel lane and the packed scalar block walk.
 
 Satellite audit: the xLRU cleanup-cadence sweep pins the hand-inlined
 tracker cleanup of the batched walks to ``_maybe_cleanup_tracker``
@@ -18,15 +22,27 @@ across degenerate intervals.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.core.base import SERVE_HIT, VideoCache
-from repro.sim.runner import build_cache
-from repro.trace.columnar import pack_trace
+from repro.obs import Telemetry, TelemetryOptions
+from repro.sim.engine import replay
+from repro.sim.runner import CACHE_FACTORIES, build_cache
+from repro.trace.columnar import _np, pack_trace
 from repro.verify.differential import KERNEL_ALGORITHMS, verify_kernel_lane
 from repro.verify.fuzz import FuzzScenario, adversarial_trace
 
 K = 1024
+
+#: kernel-lane contract cases: every kernel-native algorithm, plus Cafe
+#: for the base-class default entry point (Cafe has no kernel of its
+#: own; the default is the scalar block walk plus a miss scan, which
+#: KernelCache also takes for screen-less policies)
+ENTRY_ALGORITHMS = KERNEL_ALGORITHMS + ("Cafe",)
 
 
 def replay_kernel(cache, packed, block: int):
@@ -36,7 +52,8 @@ def replay_kernel(cache, packed, block: int):
     n = len(packed)
     for lo in range(0, n, block):
         view = packed.block_view(lo, min(lo + block, n))
-        got, misses = cache.handle_span_block_kernel(view)
+        got, misses, screened = cache.handle_span_block_kernel(view)
+        ok = ok and 0 <= screened <= view.n
         expected = [i for i, r in enumerate(got) if r is not SERVE_HIT]
         ok = ok and misses == expected
         responses.extend(got)
@@ -70,7 +87,7 @@ def test_every_kernel_algorithm_overrides_the_entry_point(algo):
     )
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", ENTRY_ALGORITHMS)
 @pytest.mark.parametrize("seed,disk,alpha", [
     (101, 1, 0.5),
     (102, 2, 4.0),
@@ -90,7 +107,7 @@ def test_kernel_matches_scalar_block_walk(algo, seed, disk, alpha, block):
     assert len(kernel) == len(scalar)
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", ENTRY_ALGORITHMS)
 def test_kernel_lane_verifier_passes(algo):
     """The repro-verify kernel-lane check is green on the production caches."""
     scenario = FuzzScenario(
@@ -108,7 +125,7 @@ def test_kernel_lane_verifier_passes(algo):
     assert result.ok, str(result.divergence)
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", ENTRY_ALGORITHMS)
 def test_kernel_state_keeps_evolving_identically(algo):
     """Post-kernel caches behave exactly like post-scalar caches."""
     head = adversarial_trace(seed=7, num_requests=400, disk_chunks=8)
@@ -123,30 +140,122 @@ def test_kernel_state_keeps_evolving_identically(algo):
     assert [scalar.handle(r) for r in tail] == [kernel.handle(r) for r in tail]
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
-def test_kernel_default_fallback_when_probe_attached(algo):
-    """With a probe attached the kernel must take the per-request path."""
+# -- probes ride the kernel lane ------------------------------------------------
 
-    class CountingProbe:
-        def __init__(self):
-            self.events = 0
+#: algorithms whose probe registries must match across every engine lane
+PROBE_PARITY_ALGORITHMS = (
+    "xLRU", "Cafe", "PullLRU", "LFU", "LFU-PK", "qLRU", "Retention"
+)
+#: online algorithms whose caches fire probe hooks; PullLRU, the
+#: hand-fused LFU, LRU-K and GDS fire none
+PROBE_EMITTERS = {"xLRU", "Cafe", "LFU-PK", "qLRU", "Retention"}
+#: parity algorithms whose kernels screen (qLRU has no screen, Cafe no kernel)
+SCREENING_ALGORITHMS = ("xLRU", "LFU", "LFU-PK", "Retention")
+PROBE_DISK = 64
+#: small engine blocks, so screens run against full disks mid-trace
+PROBE_BLOCK = 128
 
-        def __getattr__(self, name):
-            if name.startswith("on_"):
-                def hook(*args, **kwargs):
-                    self.events += 1
-                return hook
-            raise AttributeError(name)
 
-    trace = adversarial_trace(seed=21, num_requests=200, disk_chunks=8)
-    packed = pack_trace(trace, chunk_bytes=K)
-    plain = build_cache(algo, 8, chunk_bytes=K)
-    probed = build_cache(algo, 8, chunk_bytes=K)
-    probed.probe = CountingProbe()
-    want = replay_scalar_blocks(plain, packed, 50)
-    got, misses_ok = replay_kernel(probed, packed, 50)
-    assert got == want
-    assert misses_ok
+def _probed_lane(algo, requests):
+    """One telemetry replay; returns (registry JSON, result)."""
+    telemetry = Telemetry(TelemetryOptions(snapshot_every=0))
+    cache = build_cache(algo, PROBE_DISK, alpha_f2r=2.0)
+    result = replay(cache, requests, telemetry=telemetry, label=algo)
+    return json.dumps(telemetry.lanes[algo].registry.to_dict()), result
+
+
+@pytest.mark.parametrize("algo", PROBE_PARITY_ALGORITHMS)
+def test_probe_registry_identical_across_lanes(algo, small_trace, monkeypatch):
+    """Object lane, packed kernel lane and packed scalar block walk
+    produce byte-identical probe registries: same counters in the same
+    order, same histograms."""
+    monkeypatch.setattr(engine_module, "PACKED_BLOCK", PROBE_BLOCK)
+    packed = pack_trace(small_trace)
+    # an iterator is never auto-packed: the object lane
+    objects, object_result = _probed_lane(algo, iter(small_trace))
+    monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "0")
+    kernel, kernel_result = _probed_lane(algo, packed)
+    monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "1")
+    walk, _ = _probed_lane(algo, packed)
+    assert object_result.report.extra["trace_format"] == "objects"
+    assert kernel_result.report.extra["trace_format"] == "packed"
+    assert kernel == objects
+    assert walk == objects
+    if algo in SCREENING_ALGORITHMS and _np is not None:
+        # the probed kernel lane really screened
+        assert kernel_result.report.extra["screen"][algo]["screened"] > 0
+    assert _refilled_chunks(algo, small_trace) > 0
+
+
+def _refilled_chunks(algo, trace) -> int:
+    """How many chunk fills bring back a chunk filled (and evicted)
+    earlier: the trace must fill, evict and refill for the parity test
+    to cover every lifetime hook."""
+    cache = build_cache(algo, PROBE_DISK, alpha_f2r=2.0)
+    filled = set()
+    refills = 0
+    for request in trace:
+        absent = [c for c in request.chunk_ids(cache.chunk_bytes) if c not in cache]
+        if cache.handle(request).filled_chunks:
+            refills += sum(chunk in filled for chunk in absent)
+            filled.update(absent)
+    return refills
+
+
+def test_probe_event_emitters_pinned(small_trace):
+    online = [
+        name
+        for name in CACHE_FACTORIES
+        if not build_cache(name, PROBE_DISK).offline
+    ]
+    emitting = set()
+    for algo in online:
+        registry = json.loads(_probed_lane(algo, small_trace)[0])
+        if registry["counters"] or registry["histograms"]:
+            emitting.add(algo)
+    assert emitting == PROBE_EMITTERS
+
+
+def _count_entry_points(cache) -> Counter:
+    """Wrap the cache's entry points on the instance; count calls."""
+    calls: Counter = Counter()
+    for name in (
+        "handle",
+        "handle_span",
+        "handle_span_block",
+        "handle_span_block_kernel",
+    ):
+        method = getattr(cache, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(cache, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("algo", ("xLRU", "Cafe", "PullLRU", "LFU", "LFU-PK"))
+def test_probed_and_plain_packed_replays_dispatch_alike(
+    algo, small_trace, monkeypatch
+):
+    monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "0")
+    packed = pack_trace(small_trace)
+    seen = {}
+    for probed in (False, True):
+        cache = build_cache(algo, PROBE_DISK, alpha_f2r=2.0)
+        calls = _count_entry_points(cache)
+        telemetry = Telemetry(TelemetryOptions()) if probed else None
+        result = replay(cache, packed, telemetry=telemetry, label=algo)
+        assert (cache.probe is not None) == probed
+        seen[probed] = (dict(calls), result.report.extra["screen"])
+    assert seen[True] == seen[False]
+    calls = seen[True][0]
+    if algo in KERNEL_ALGORITHMS:
+        # no per-request fallback; blocks go to the kernel when numpy
+        # columns are live, else to the hoisted block walk
+        assert "handle_span" not in calls
+        assert (calls.get("handle_span_block_kernel", 0) > 0) == (_np is not None)
 
 
 # -- satellite audit: xLRU inlined tracker cleanup cadence ---------------------

@@ -135,6 +135,30 @@ class TestMalformedInput:
 
         run(scenario())
 
+    def test_line_over_64k_is_answered_and_skipped(self, tmp_path):
+        async def scenario():
+            async with Harness(tmp_path) as h:
+                reader, writer = await h.connect()
+                big = json.dumps({"pad": "x" * (70 * 1024)})
+                valid = json.dumps(
+                    {"seq": 1, "t": 1.0, "video": 1, "b0": 0, "b1": K - 1}
+                )
+                # one write: both lines on one connection
+                writer.write(big.encode() + b"\n" + valid.encode() + b"\n")
+                await writer.drain()
+                first = await h.read_json(reader)
+                assert first["ok"] is False
+                assert first["error"] == "line-too-long"
+                second = await h.read_json(reader)
+                assert second["ok"], second
+                assert second["seq"] == 1
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                assert stats["counters"]["serve.malformed"] == 1
+                assert stats["watermark"] == 1
+                writer.close()
+
+        run(scenario())
+
     def test_unknown_op_is_unsupported(self, tmp_path):
         async def scenario():
             async with Harness(tmp_path) as h:

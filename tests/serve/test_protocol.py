@@ -1,5 +1,7 @@
-"""Wire-protocol parsing, response shapes, and shared accounting."""
+"""Wire-protocol parsing, line framing, response shapes, and shared
+accounting."""
 
+import asyncio
 import json
 
 import pytest
@@ -10,8 +12,10 @@ from repro.serve.protocol import (
     ProtocolError,
     decide_and_account,
     error_response,
+    line_too_long_response,
     new_totals,
     parse_line,
+    read_line,
     shed_response,
 )
 from repro.sim.runner import build_cache
@@ -73,6 +77,46 @@ class TestParseLine:
     def test_error_codes_are_registered(self):
         assert _parse_error("{").code in ERROR_CODES
         assert _parse_error('{"op": "reboot"}').code in ERROR_CODES
+
+
+class TestReadLine:
+    """Over-long lines are reported as None and skipped through their
+    newline, whether the newline is already buffered or arrives later."""
+
+    @staticmethod
+    def _lines(chunks, count, limit=16):
+        async def scenario():
+            reader = asyncio.StreamReader(limit=limit)
+
+            async def feed():
+                for chunk in chunks:
+                    reader.feed_data(chunk)
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeder = asyncio.create_task(feed())
+            lines = [await read_line(reader) for _ in range(count)]
+            await feeder
+            return lines
+
+        return asyncio.run(scenario())
+
+    def test_newline_already_buffered(self):
+        chunks = [b"ok\n" + b"x" * 40 + b"\nnext\ntail"]
+        assert self._lines(chunks, 5) == [b"ok\n", None, b"next\n", b"tail", b""]
+
+    def test_newline_arrives_later(self):
+        chunks = [b"x" * 20, b"x" * 30, b"x" * 5 + b"\nnext\n"]
+        assert self._lines(chunks, 3) == [None, b"next\n", b""]
+
+    def test_eof_inside_an_overlong_line(self):
+        assert self._lines([b"x" * 40], 2) == [None, b""]
+
+    def test_line_too_long_response(self):
+        response = line_too_long_response()
+        assert response["ok"] is False
+        assert response["error"] == "line-too-long"
+        assert response["error"] in ERROR_CODES
 
 
 class TestResponses:

@@ -308,6 +308,23 @@ class TestFailureHandling:
 
         run(scenario())
 
+    def test_line_over_64k_answered_at_the_router(self, tmp_path):
+        async def scenario():
+            async with FleetHarness(tmp_path, workers=2) as h:
+                reader, writer = await h.connect()
+                big = json.dumps({"pad": "x" * (70 * 1024)})
+                writer.write(big.encode() + b"\n" + b'{"op": "hello"}\n')
+                await writer.drain()
+                first = await h.read_json(reader)
+                assert first["ok"] is False
+                assert first["error"] == "line-too-long"
+                hello = await h.read_json(reader)
+                assert hello["ok"] and hello["kind"] == "hello"
+                assert h.router.counters.get("router.malformed") == 1
+                writer.close()
+
+        run(scenario())
+
 
 class TestSubscribe:
     def test_subscribe_rebroadcasts_shard_tagged_snapshots(self, tmp_path):

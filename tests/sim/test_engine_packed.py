@@ -13,7 +13,7 @@ import repro.sim.engine as engine_module
 from repro.sim.engine import MultiReplay, replay
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import CACHE_FACTORIES, build_cache
-from repro.trace.columnar import pack_trace
+from repro.trace.columnar import _np, pack_trace
 
 ALL = sorted(CACHE_FACTORIES)
 
@@ -185,3 +185,51 @@ class TestRecordPacked:
         collector = MetricsCollector(CostModel(2.0))
         collector.record_packed([], [], [], [])
         assert collector.totals().num_requests == 0
+
+
+ONLINE = [algo for algo in ALL if not build_cache(algo, DISK).offline]
+
+
+class TestScreenYield:
+    """Every RunReport says how many requests each lane's decision
+    kernel screened and how many it walked request by request."""
+
+    @staticmethod
+    def _yields(packed, telemetry=None):
+        from repro.obs import Telemetry, TelemetryOptions
+
+        caches = {algo: build_cache(algo, DISK, alpha_f2r=2.0) for algo in ONLINE}
+        tel = Telemetry(TelemetryOptions()) if telemetry else None
+        results = MultiReplay(caches, telemetry=tel).run(packed)
+        report = next(iter(results.values())).report
+        return report.extra["screen"], report.num_requests
+
+    def test_screened_plus_residue_is_every_request(self, packed, monkeypatch):
+        monkeypatch.setattr(engine_module, "PACKED_BLOCK", 64)
+        monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "0")
+        screen, n = self._yields(packed)
+        assert set(screen) == set(ONLINE)
+        for algo, lane in screen.items():
+            assert lane["screened"] + lane["residue"] == n == len(packed), algo
+            assert lane["screened"] >= 0
+        # no numpy columns: every lane walks its residue
+        assert (screen["xLRU"]["screened"] > 0) == (_np is not None)
+        assert screen["Cafe"]["screened"] == 0  # no kernel: all residue
+
+    def test_probed_and_plain_yields_equal(self, packed, monkeypatch):
+        monkeypatch.setattr(engine_module, "PACKED_BLOCK", 64)
+        monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "0")
+        assert self._yields(packed, telemetry=True) == self._yields(packed)
+
+    def test_kernels_off_and_object_lane_report_all_residue(
+        self, trace, packed, monkeypatch
+    ):
+        monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "1")
+        screen, n = self._yields(packed)
+        assert all(lane == {"screened": 0, "residue": n} for lane in screen.values())
+        monkeypatch.setattr(engine_module, "AUTO_PACK_MIN_REQUESTS", 10**9)
+        result = replay(build_cache("xLRU", DISK), trace)
+        assert result.report.extra["trace_format"] == "objects"
+        assert result.report.extra["screen"] == {
+            "xLRU": {"screened": 0, "residue": len(trace)}
+        }
