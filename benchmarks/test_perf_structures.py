@@ -2,14 +2,15 @@
 
 These are real pytest-benchmark measurements (multiple rounds): the
 paper's structures promise O(1) recency-list operations and O(log n)
-treap operations, and the caches' request rates bottleneck on them.
+ordered-set operations (``ScoreHeap``, the set under Cafe, LFU, LRU-K
+and GDS), and the caches' request rates bottleneck on them.
 """
 
 import random
 
 from repro.structures.ewma import IatEstimator
 from repro.structures.lru import AccessRecencyList
-from repro.structures.treap import TreapMap
+from repro.structures.scoreheap import ScoreHeap
 
 N = 10_000
 
@@ -44,30 +45,30 @@ def test_lru_pop_oldest(benchmark):
     benchmark.pedantic(run, setup=setup, rounds=10)
 
 
-def test_treap_insert_remove_mixed(benchmark):
+def test_scoreheap_insert_remove_mixed(benchmark):
     """The Cafe access pattern: re-key hot items, evict cold ones."""
     rng = random.Random(7)
     ops = [(rng.randrange(4096), rng.random()) for _ in range(N)]
 
     def run():
-        treap = TreapMap(seed=1)
+        heap = ScoreHeap()
         for item, score in ops:
-            treap.insert(item, score)
-            if len(treap) > 2048:
-                treap.pop_min()
-        return treap
+            heap.insert(item, score)
+            if len(heap) > 2048:
+                heap.pop_min()
+        return heap
 
-    treap = benchmark(run)
-    assert len(treap) <= 2048
+    heap = benchmark(run)
+    assert len(heap) <= 2048
 
 
-def test_treap_n_smallest(benchmark):
-    treap = TreapMap(seed=2)
+def test_scoreheap_n_smallest(benchmark):
+    heap = ScoreHeap()
     rng = random.Random(8)
     for i in range(N):
-        treap.insert(i, rng.random())
+        heap.insert(i, rng.random())
 
-    result = benchmark(treap.n_smallest, 16)
+    result = benchmark(heap.n_smallest, 16)
     assert len(result) == 16
 
 

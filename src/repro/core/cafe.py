@@ -12,8 +12,15 @@ costs (Eqs. 6–7)::
 ``T`` (how far ahead the IAT estimates are trusted) is the cache age —
 the paper's choice, which "yielded highest efficiencies".  Inter-arrival
 times are EWMA-tracked per chunk (Eq. 8, gamma = 0.25) and chunks are
-ordered by the virtual-timestamp key of Eq. 9 in a binary-tree set
-(Theorem 1 guarantees the order stays valid over time).
+ordered by the virtual-timestamp key of Eq. 9 (Theorem 1 guarantees
+the order stays valid over time).  The paper keeps them in a binary-tree
+set; here it is a :class:`~repro.structures.scoreheap.ScoreHeap`, a
+lazy-deletion heap with the same ``(key, insertion)`` order.
+
+Every lane runs one decision path, :meth:`CafeCache._walk`: the packed
+sweep and fleet lanes call it per block through ``handle_span_block``,
+the object lane and ``repro-serve`` per request through ``handle_span``
+(a 1-element block), and a telemetry probe's hooks fire inside it.
 
 Two further paper details are implemented:
 
@@ -29,9 +36,13 @@ Two further paper details are implemented:
 Implementation notes beyond the paper's text (documented substitutions):
 
 * A chunk cache-filled with no IAT sample of its own (first fill) is
-  seeded with the IAT estimate used in the admission decision so that
-  its ordering key is finite; with no usable estimate at all it is
-  seeded with the cache age (the natural borderline popularity).
+  seeded with the video estimate so that its ordering key is finite;
+  with no usable estimate at all it is seeded with the cache age (the
+  natural borderline popularity), else 1.  The seed is re-estimated at
+  fill time — after the request's evictions and after the earlier
+  fills of the same request — so it can differ from the estimate the
+  admission decision used: an evicted sibling leaves the scan, an
+  earlier-filled sibling joins it, and the cache age moves with both.
 * During warm-up (disk not full) the cache age — and therefore ``T`` —
   is unbounded, which makes the cache admit any content with request
   history while free space remains, consistent with xLRU's warm-up.
@@ -139,80 +150,221 @@ class CafeCache(VideoCache):
     def handle_span(
         self, t: float, video: int, b0: int, b1: int, c0: int, c1: int
     ) -> CacheResponse:
-        now = t
+        return self._walk((t,), (video,), (c0,), (c1,))[0]
+
+    def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
+        return self._walk(ts, videos, c0s, c1s)
+
+    def _walk(self, ts, videos, c0s, c1s) -> list:
+        """The one Cafe decision path: Eqs. 6–9 over a block of requests.
+
+        Every lane runs it — the packed sweep and fleet lanes per block,
+        the object lane and ``repro-serve`` per request (a 1-element
+        block).  The cost model, the structures' raw dicts and the probe
+        hooks are bound once per block.  Per request:
+
+        1. **tracking** — fold the access into each chunk's EWMA (Eq. 8),
+           re-key cached chunks (Eq. 9), refresh the recency of ghost
+           chunks and collect the uncached ones as the missing set, all
+           in one pass (popularity tracking happens regardless of the
+           decision, like xLRU's tracker update);
+        2. **decision** — horizon ``T`` (cache age unless fixed), the
+           ``|S'|`` least-key victims outside the request, and the
+           Eqs. 6–7 costs; a missing chunk without history of its own
+           takes the video estimate, computed at most once per request;
+        3. **mutation** — on serve: evict the victims, then admit the
+           missing chunks one by one, then bound the ghost history; on
+           redirect: keep the missing chunks' history as ghosts.
+
+        Probe hooks fire inline in that order.  Returns the responses.
+        """
         probe = self.probe
-        chunks = [(video, c) for c in range(c0, c1 + 1)]
-
-        # Popularity tracking happens regardless of the decision (like
-        # xLRU's tracker update before its admission test): fold the
-        # access into each chunk's EWMA, then re-key cached chunks.
-        stats = self._stats
-        cached = self._cached
-        ghosts = self._ghosts
-        gamma = stats.gamma
-        for chunk in chunks:
-            state = stats.record(chunk, now)
-            if chunk in cached:
-                cached.insert(chunk, state.key(gamma))
-            elif chunk in ghosts:
-                ghosts.touch(chunk, now)
-
-        if len(chunks) > self.disk_chunks:
-            self._note_ghosts(chunks, now)
-            if probe is not None:
-                probe.on_redirect(now, "oversized")
-            return REDIRECT
-
-        missing = [c for c in chunks if c not in cached]
-        if not missing:
-            # Pure hit: serving costs 0, which can never lose.
-            if probe is not None:
-                probe.on_serve(now, 0, 0)
-            return SERVE_HIT
-
-        horizon = self._horizon if self._horizon is not None else self.cache_age(now)
-        future_unit = self.cost_model.future_cost
-
-        free = self.disk_chunks - len(cached)
-        n_evict = max(0, len(missing) - free)
-        victims = cached.n_smallest(n_evict, exclude=set(chunks))
-
-        cost_serve = len(missing) * self.cost_model.fill_cost
-        for chunk, _key in victims:
-            cost_serve += _future_term(stats.iat(chunk, now), horizon) * future_unit
-
-        cost_redirect = len(chunks) * self.cost_model.redirect_cost
-        if probe is None:
-            for chunk in missing:
-                cost_redirect += _future_term(self._estimate_iat(chunk, now), horizon) * future_unit
-        else:
-            # Probe lane: identical arithmetic, but each estimate is
-            # classified (own history / video fallback / cold) so the
-            # IAT-estimator health counters reflect the decision path.
-            for chunk in missing:
-                iat, source = self._estimate_iat_traced(chunk, now)
-                probe.on_iat_estimate(source)
-                cost_redirect += _future_term(iat, horizon) * future_unit
-            probe.on_margin(cost_redirect - cost_serve)
-
-        if cost_serve > cost_redirect:
-            self._note_ghosts(chunks, now)
-            if probe is not None:
-                probe.on_redirect(now, "cost")
-            return REDIRECT
-
-        for chunk, _key in victims:
-            if probe is not None:
-                probe.on_evict(now, chunk, stats[chunk].t_last)
-            self._evict(chunk, now)
-        for chunk in missing:
-            self._admit(chunk, now)
-        self._collect_ghosts()
         if probe is not None:
-            for chunk in missing:
-                probe.on_fill(now, chunk)
-            probe.on_serve(now, len(missing), len(victims))
-        return serve_response(len(missing), len(victims))
+            on_iat_estimate = probe.on_iat_estimate
+            on_margin = probe.on_margin
+            on_redirect = probe.on_redirect
+            on_serve = probe.on_serve
+            on_fill = probe.on_fill
+            on_evict = probe.on_evict
+        cost_model = self.cost_model
+        fill_cost = cost_model.fill_cost
+        redirect_cost = cost_model.redirect_cost
+        future_unit = cost_model.future_cost
+        disk_chunks = self.disk_chunks
+        fixed_horizon = self._horizon
+        max_ghosts = self._max_ghosts
+        stats = self._stats
+        stats_get = stats.get
+        stats_pop = stats.pop
+        gamma = stats.gamma
+        keep = 1.0 - gamma
+        cached = self._cached
+        index = cached.raw_index()
+        rekey = cached.insert
+        unkey = cached.remove
+        min_item = cached.min_item
+        n_smallest = cached.n_smallest
+        ghosts = self._ghosts
+        gentries = ghosts.raw_entries()
+        gpop = gentries.pop
+        video_chunks = self._video_chunks
+        video_iat = self._video_iat
+        inf = _INF
+        ghost_t = None
+        responses: list = []
+        append = responses.append
+        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
+            missing = None
+            for c in range(c0, c1 + 1):
+                chunk = (video, c)
+                state = stats_get(chunk)
+                if state is None:
+                    state = stats[chunk] = EwmaIat(inf, t)
+                else:
+                    dt = state.dt
+                    if dt == inf:
+                        # the first sample replaces the placeholder
+                        state.dt = t - state.t_last
+                    else:
+                        state.dt = gamma * (t - state.t_last) + keep * dt
+                    state.t_last = t
+                if chunk in index:
+                    dt = state.dt
+                    rekey(chunk, -inf if dt == inf else gamma * t - keep * dt)
+                    continue
+                if gpop(chunk, None) is not None:
+                    gentries[chunk] = t
+                    ghost_t = t
+                if missing is None:
+                    missing = [chunk]
+                else:
+                    missing.append(chunk)
+
+            if c1 - c0 + 1 > disk_chunks:
+                reason = "oversized"
+            elif missing is None:
+                # Pure hit: serving costs 0, which can never lose.
+                if probe is not None:
+                    on_serve(t, 0, 0)
+                append(SERVE_HIT)
+                continue
+            else:
+                if fixed_horizon is not None:
+                    horizon = fixed_horizon
+                elif len(index) < disk_chunks:
+                    horizon = inf
+                else:
+                    state = stats_get(min_item()[0])
+                    if state is None or state.dt == inf:
+                        horizon = inf
+                    else:
+                        horizon = gamma * (t - state.t_last) + keep * state.dt
+                # T / IAT below is inf under an unbounded horizon; an IAT
+                # of inf (no history) contributes nothing and is skipped.
+                n_missing = len(missing)
+                n_evict = n_missing - (disk_chunks - len(index))
+                if n_evict > 0:
+                    victims = n_smallest(
+                        n_evict, {(video, c) for c in range(c0, c1 + 1)}
+                    )
+                else:
+                    victims = ()
+                cost_serve = n_missing * fill_cost
+                for victim, _key in victims:
+                    state = stats_get(victim)
+                    if state is not None and state.dt != inf:
+                        iat = gamma * (t - state.t_last) + keep * state.dt
+                        cost_serve += (
+                            horizon / (iat if iat >= 1e-9 else 1e-9) * future_unit
+                        )
+                cost_redirect = (c1 - c0 + 1) * redirect_cost
+                estimate = None
+                for chunk in missing:
+                    state = stats[chunk]
+                    if state.dt != inf:
+                        iat = gamma * (t - state.t_last) + keep * state.dt
+                        source = "own"
+                    else:
+                        if estimate is None:
+                            estimate = video_iat(video, t)
+                        iat = estimate
+                        source = "video" if iat != inf else "cold"
+                    if probe is not None:
+                        on_iat_estimate(source)
+                    if iat != inf:
+                        cost_redirect += (
+                            horizon / (iat if iat >= 1e-9 else 1e-9) * future_unit
+                        )
+                if probe is not None:
+                    on_margin(cost_redirect - cost_serve)
+
+                if cost_serve > cost_redirect:
+                    reason = "cost"
+                else:
+                    for victim, _key in victims:
+                        if probe is not None:
+                            on_evict(t, victim, stats[victim].t_last)
+                        unkey(victim)
+                        siblings = video_chunks.get(victim[0])
+                        if siblings is not None:
+                            siblings.discard(victim[1])
+                            if not siblings:
+                                del video_chunks[victim[0]]
+                        if max_ghosts > 0:
+                            gpop(victim, None)
+                            gentries[victim] = t
+                            ghost_t = t
+                        else:
+                            del stats[victim]
+                    siblings = video_chunks.get(video)
+                    if siblings is None:
+                        siblings = video_chunks[video] = set()
+                    for chunk in missing:
+                        state = stats[chunk]
+                        if state.dt == inf:
+                            # First fill with no IAT sample: re-estimated
+                            # now, after the evictions and the earlier
+                            # fills of this request.
+                            seed = video_iat(video, t)
+                            if seed == inf:
+                                seed = self.cache_age(t)
+                            if seed == inf:
+                                seed = 1.0
+                            state.dt = seed
+                        rekey(chunk, gamma * state.t_last - keep * state.dt)
+                        gpop(chunk, None)
+                        siblings.add(chunk[1])
+                    while len(gentries) > max_ghosts:
+                        oldest = next(iter(gentries))
+                        del gentries[oldest]
+                        stats_pop(oldest, None)
+                    if probe is not None:
+                        for chunk in missing:
+                            on_fill(t, chunk)
+                        on_serve(t, n_missing, len(victims))
+                    append(serve_response(n_missing, len(victims)))
+                    continue
+
+            # Redirect: the uncached chunks' history survives as ghosts
+            # until cleanup (or is dropped outright without ghosts).
+            if max_ghosts <= 0:
+                for chunk in missing:
+                    stats_pop(chunk, None)
+            else:
+                for chunk in missing:
+                    if chunk not in gentries:
+                        gentries[chunk] = t
+                        ghost_t = t
+                while len(gentries) > max_ghosts:
+                    oldest = next(iter(gentries))
+                    del gentries[oldest]
+                    stats_pop(oldest, None)
+            if probe is not None:
+                on_redirect(t, reason)
+            append(REDIRECT)
+        if ghost_t is not None:
+            ghosts.advance_time(ghost_t)
+        return responses
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._cached
@@ -251,9 +403,9 @@ class CafeCache(VideoCache):
             return self._stats.iat(chunk, now)
 
         def shadow_estimate(chunk: ChunkId) -> float:
-            # _estimate_iat, but against post-update (shadow) sibling
-            # stats — handle() records the whole request before
-            # estimating, so the sibling keys it scans are fresh
+            # own history, else _video_iat, but against post-update
+            # (shadow) sibling stats — the walk records the whole
+            # request before estimating, so the sibling keys are fresh
             own = shadow_iat(chunk)
             if not math.isinf(own):
                 return own
@@ -373,98 +525,29 @@ class CafeCache(VideoCache):
         """Evicted/redirected chunks whose IAT history is retained."""
         return len(self._ghosts)
 
-    def _estimate_iat(self, chunk: ChunkId, now: float) -> float:
-        """IAT for a missing chunk: own history, else the video estimate.
+    def _video_iat(self, video: int, now: float) -> float:
+        """IAT for a missing chunk with no history of its own.
 
-        The video estimate is "the largest recorded IAT among the
-        existing chunks" of the chunk's video (Section 6).  By
-        Theorem 1, the largest-IAT cached chunk of a video is the one
-        with the smallest virtual key, so a key scan suffices.
+        "The largest recorded IAT among the existing chunks" of the
+        video (Section 6); inf with no cached sibling or with the
+        estimate disabled.  By Theorem 1 the largest-IAT cached chunk is
+        the one with the smallest virtual key, so a key scan suffices;
+        the strict ``<`` keeps the first minimum in set order.
         """
-        own = self._stats.iat(chunk, now)
-        if not math.isinf(own):
-            return own
         if not self._use_video_estimate:
             return _INF
-        video = chunk[0]
         siblings = self._video_chunks.get(video)
         if not siblings:
             return _INF
-        worst = min(
-            ((video, c) for c in siblings),
-            key=lambda ch: self._cached.score(ch),
-        )
-        return self._stats.iat(worst, now)
-
-    def _estimate_iat_traced(self, chunk: ChunkId, now: float) -> tuple:
-        """:meth:`_estimate_iat` plus the estimate's provenance.
-
-        Returns ``(iat, source)`` with ``source`` one of ``"own"``,
-        ``"video"`` (the unseen-chunk max-IAT fallback) or ``"cold"``.
-        Kept separate from :meth:`_estimate_iat` so the probe-free hot
-        path never allocates the tuple; the arithmetic is identical.
-        """
-        own = self._stats.iat(chunk, now)
-        if not math.isinf(own):
-            return own, "own"
-        if not self._use_video_estimate:
-            return _INF, "cold"
-        video = chunk[0]
-        siblings = self._video_chunks.get(video)
-        if not siblings:
-            return _INF, "cold"
-        worst = min(
-            ((video, c) for c in siblings),
-            key=lambda ch: self._cached.score(ch),
-        )
-        iat = self._stats.iat(worst, now)
-        return iat, ("video" if not math.isinf(iat) else "cold")
-
-    def _admit(self, chunk: ChunkId, now: float) -> None:
-        state = self._stats[chunk]
-        if math.isinf(state.dt):
-            # First fill with no IAT sample: seed with the estimate the
-            # admission decision used, falling back to the cache age.
-            seed = self._estimate_iat(chunk, now)
-            if math.isinf(seed):
-                seed = self.cache_age(now)
-            if math.isinf(seed):
-                seed = 1.0
-            state.dt = seed
-        self._cached.insert(chunk, state.key(self._stats.gamma))
-        self._ghosts.discard(chunk)
-        self._video_chunks.setdefault(chunk[0], set()).add(chunk[1])
-
-    def _evict(self, chunk: ChunkId, now: float) -> None:
-        self._cached.remove(chunk)
-        siblings = self._video_chunks.get(chunk[0])
-        if siblings is not None:
-            siblings.discard(chunk[1])
-            if not siblings:
-                del self._video_chunks[chunk[0]]
-        if self._max_ghosts > 0:
-            self._ghosts.touch(chunk, now)
-        else:
-            del self._stats[chunk]
-
-    def _note_ghosts(self, chunks: list[ChunkId], now: float) -> None:
-        """Track redirected, uncached chunks as ghosts so their history
-        survives until cleanup."""
-        if self._max_ghosts <= 0:
-            for chunk in chunks:
-                if chunk not in self._cached:
-                    self._stats.pop(chunk, None)
-            return
-        for chunk in chunks:
-            if chunk not in self._cached and chunk not in self._ghosts:
-                self._ghosts.touch(chunk, now)
-        self._collect_ghosts()
-
-    def _collect_ghosts(self) -> None:
-        """Bound ghost history, recycling least recently seen records."""
-        while len(self._ghosts) > self._max_ghosts:
-            chunk, _t = self._ghosts.pop_oldest()
-            self._stats.pop(chunk, None)
+        index = self._cached.raw_index()
+        numbers = iter(siblings)
+        worst = next(numbers)
+        worst_key = index[(video, worst)][0]
+        for number in numbers:
+            key = index[(video, number)][0]
+            if key < worst_key:
+                worst, worst_key = number, key
+        return self._stats.iat((video, worst), now)
 
 
 def _future_term(iat: float, horizon: float) -> float:

@@ -2,13 +2,16 @@
 
 The soak replays a (diurnal) trace against a daemon subprocess while a
 seeded :class:`~repro.cdn.faults.FaultSchedule` of ``restart`` events
-SIGKILLs and restarts it mid-run, injecting malformed lines along the
-way.  The pass criterion is exactness, not survival alone: the final
-traffic totals must be **byte-identical** to an uninterrupted batch
+SIGKILLs and restarts it mid-run, injecting hostile lines along the
+way: malformed JSON and, in turn, lines over
+:data:`~repro.serve.protocol.MAX_LINE_BYTES`.  The pass criterion is
+exactness, not survival alone: the final traffic totals must be
+**byte-identical** to an uninterrupted batch
 replay of the same trace (both sides run
 :func:`repro.serve.protocol.decide_and_account`), the request-sequence
 watermark must equal the trace length (nothing double-counted, nothing
-lost), and every malformed line must have been answered.
+lost), and every hostile line must have been answered (``malformed``
+or ``line-too-long``) without dropping the connection.
 
 Runnable directly — the CI ``serve-smoke`` job and ``make serve-soak``
 both call ``python -m repro.serve.soak``.
@@ -32,7 +35,7 @@ from repro.cdn.faults import FaultEvent, FaultSchedule
 from repro.cdn.sharding import DEFAULT_NUM_BUCKETS, shard_of
 from repro.serve.client import ServeClient, connect_with_retry
 from repro.serve.daemon import ServeConfig
-from repro.serve.protocol import decide_and_account, new_totals
+from repro.serve.protocol import MAX_LINE_BYTES, decide_and_account, new_totals
 from repro.sim.runner import build_cache
 from repro.trace.requests import Request
 
@@ -363,6 +366,8 @@ class SoakOutcome:
     router_kills: int = 0
     malformed_sent: int = 0
     malformed_acked: int = 0
+    overlong_sent: int = 0
+    overlong_acked: int = 0
     shed: int = 0
     duplicates: int = 0
     recoveries: int = 0
@@ -376,7 +381,11 @@ class SoakOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.exact and self.malformed_acked == self.malformed_sent
+        return (
+            self.exact
+            and self.malformed_acked == self.malformed_sent
+            and self.overlong_acked == self.overlong_sent
+        )
 
     def describe(self) -> str:
         lines = [
@@ -389,7 +398,8 @@ class SoakOutcome:
             )
             + f"({self.resumed_restarts} warm resume(s)), "
             f"{self.malformed_sent} malformed line(s) "
-            f"({self.malformed_acked} acked), {self.duplicates} duplicate "
+            f"({self.malformed_acked} acked), {self.overlong_sent} over-long "
+            f"line(s) ({self.overlong_acked} acked), {self.duplicates} duplicate "
             f"ack(s), {self.shed} shed, {self.recoveries} recover(ies)",
             f"watermark: {self.watermark} (expected {self.sent})",
             f"totals exact vs batch replay: {self.totals == self.batch}",
@@ -403,6 +413,30 @@ class SoakOutcome:
 
 
 _MALFORMED_LINE = '{"t": "not-a-number", "video": -3'
+#: longer than the daemon's line limit: answered ``line-too-long``
+_OVERLONG_LINE = '{"pad": "' + "x" * MAX_LINE_BYTES + '"}'
+
+
+def _hostile_line(outcome: "SoakOutcome") -> str:
+    """The next injected line, alternating malformed and over-long,
+    counted as sent."""
+    if outcome.malformed_sent > outcome.overlong_sent:
+        outcome.overlong_sent += 1
+        return _OVERLONG_LINE
+    outcome.malformed_sent += 1
+    return _MALFORMED_LINE
+
+
+def _count_hostile_ack(outcome: "SoakOutcome", code: Optional[str]) -> bool:
+    """Count an error ack answering an injected line; False for any
+    other error."""
+    if code == "malformed":
+        outcome.malformed_acked += 1
+    elif code == "line-too-long":
+        outcome.overlong_acked += 1
+    else:
+        return False
+    return True
 
 
 def run_soak(
@@ -494,8 +528,7 @@ def run_soak(
                         if malformed_every and since_malformed >= malformed_every:
                             since_malformed = 0
                             injected += 1
-                            outcome.malformed_sent += 1
-                            client.send_raw(_MALFORMED_LINE)
+                            client.send_raw(_hostile_line(outcome))
                     client.flush()
                     retry_after = 0.0
                     clean = True
@@ -506,8 +539,7 @@ def run_soak(
                                 outcome.duplicates += 1
                             continue
                         code = response.get("error")
-                        if code == "malformed":
-                            outcome.malformed_acked += 1
+                        if _count_hostile_ack(outcome, code):
                             continue
                         clean = False
                         if code == "overloaded":
@@ -706,8 +738,7 @@ def run_sharded_soak(
                         if malformed_every and since_malformed >= malformed_every:
                             since_malformed = 0
                             injected += 1
-                            outcome.malformed_sent += 1
-                            client.send_raw(_MALFORMED_LINE)
+                            client.send_raw(_hostile_line(outcome))
                     client.flush()
                     retry_after = 0.0
                     clean = True
@@ -718,8 +749,7 @@ def run_sharded_soak(
                                 outcome.duplicates += 1
                             continue
                         code = response.get("error")
-                        if code == "malformed":
-                            outcome.malformed_acked += 1
+                        if _count_hostile_ack(outcome, code):
                             continue
                         clean = False
                         if code == "overloaded":
@@ -805,7 +835,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--malformed-every",
         type=int,
         default=0,
-        help="inject one malformed line every N requests",
+        help="inject one hostile line every N requests "
+        "(malformed and over-long in turn)",
     )
     parser.add_argument("--window", type=int, default=256)
     parser.add_argument("--snapshot-every", type=int, default=1000)

@@ -1046,7 +1046,7 @@ class SweepScheduler:
         clone's cost model swapped in is exactly what a dedicated replay
         would have produced.  Copying goes through pickle — serialize
         each primary once, deserialize per clone — which is several
-        times faster than ``copy.deepcopy`` on treap-heavy cache state.
+        times faster than ``copy.deepcopy`` on heap-heavy cache state.
 
         A primary whose cache refuses to pickle (e.g. an instrumented
         wrapper holding a live file handle) degrades to a dedicated

@@ -1,14 +1,14 @@
-"""Lazy-deletion binary heap with TreapMap's observable semantics.
+"""Lazy-deletion binary heap with a tree set's observable semantics.
 
 The ordered structures of the decision kernels (Cafe's virtual-timestamp
-set, LFU's frequency set, LRU-K / GDS credit sets) were built on
-:class:`~repro.structures.treap.TreapMap`, whose ``(score, seq)``
-composite key makes eviction order deterministic for a fixed insertion
-sequence — a property the verification oracles replicate and therefore
-part of the replayable spec.  The treap pays for that order with
-pure-Python ``_split``/``_merge`` recursion on every insert, which
-profiles as the dominant cost of the packed replay lane for the
-treap-backed caches.
+set, LFU's frequency set, LRU-K / GDS credit sets) were first built on a
+treap whose ``(score, seq)`` composite key makes eviction order
+deterministic for a fixed insertion sequence — a property the
+verification oracles replicate and therefore part of the replayable
+spec.  The treap paid for that order with pure-Python split/merge
+recursion on every insert, which profiled as the dominant cost of the
+packed replay lane; it now lives on only as the reference model of this
+heap's tests (``tests/structures/treap.py``).
 
 :class:`ScoreHeap` keeps the *exact* observable contract — the same
 ``(score, seq)`` total order, the same sequence-number assignment per
@@ -27,8 +27,9 @@ with lazy deletion:
 
 Because every composite key is unique, heap order never compares items
 themselves, so unhashable-score pathologies cannot arise and the order
-is exactly TreapMap's.  The ``seed`` argument is accepted for drop-in
-compatibility; no randomness is needed (heap shape is not observable).
+is exactly the tree set's.  The ``seed`` argument is accepted for
+drop-in compatibility; no randomness is needed (heap shape is not
+observable).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ __all__ = ["ScoreHeap"]
 
 class ScoreHeap(Generic[T]):
     """Map of hashable items to float scores, ordered by ascending
-    ``(score, insertion sequence)`` — observably identical to
-    :class:`~repro.structures.treap.TreapMap`.
+    ``(score, insertion sequence)`` — observably a tree set with that
+    composite key.
     """
 
     __slots__ = ("_heap", "_index", "_seq", "_stale")

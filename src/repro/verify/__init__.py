@@ -3,7 +3,7 @@
 The paper frames cache servers as "strong lines of defense" against
 origin traffic; this package is the analogous defense for the
 *reproduction itself*.  Every optimization in the simulation core
-(broadcast replay, alpha-collapsing, process pools, treap-ordered
+(broadcast replay, alpha-collapsing, process pools, heap-ordered
 eviction, EWMA virtual keys) is a way to be silently wrong, so each
 online algorithm gets:
 

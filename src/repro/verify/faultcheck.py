@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Algorithms exercised by default: the paper's online pair plus the
-#: pull-through baseline (cheap, and its treap-free state pickles fast).
+#: pull-through baseline (cheap, and its heap-free state pickles fast).
 DEFAULT_ALGORITHMS = ("PullLRU", "xLRU", "Cafe")
 
 

@@ -3,7 +3,7 @@
 Each oracle restates its algorithm directly from the paper's equations
 with the simplest possible state — plain dicts and linear min-scans —
 and none of the production data structures (no
-:class:`~repro.structures.treap.TreapMap`, no
+:class:`~repro.structures.scoreheap.ScoreHeap`, no
 :class:`~repro.structures.lru.AccessRecencyList`, no precomputed Eq. 9
 virtual keys).  The differential harness replays fast implementation
 and oracle side by side and requires their decision/fill/evict streams
@@ -12,7 +12,7 @@ semantics, including the parts that are easy to get subtly wrong:
 
 * **eviction order ties** — the production ordered structures break
   score ties by insertion sequence (the ``(score, seq)`` composite key
-  of ``TreapMap``); that tie-break is part of the replayable spec, so
+  of ``ScoreHeap``); that tie-break is part of the replayable spec, so
   every oracle carries the same monotone insertion counter and orders
   candidates by ``(popularity, insertion sequence)`` with a plain sort;
 * **popularity order without virtual keys** — Cafe's production code
@@ -493,7 +493,7 @@ class OracleCafe(VideoCache):
     needed — there are no precomputed Eq. 9 virtual keys and no ordered
     structure.  "Least popular" is "largest current IAT" (Theorem 1's
     semantic order), ties broken by insertion sequence like the
-    production treap.  For request ``R`` with chunk set ``S``, missing
+    production ``ScoreHeap``.  For request ``R`` with chunk set ``S``, missing
     subset ``S'`` and eviction candidates ``S''`` (the ``|S'|`` least
     popular cached chunks outside ``S``), the decision compares::
 
@@ -579,7 +579,7 @@ class OracleCafe(VideoCache):
         chunks = list(request.chunk_ids(self.chunk_bytes))
 
         # Track popularity regardless of the decision; refresh the
-        # insertion sequence of cached chunks (the production treap
+        # insertion sequence of cached chunks (the production heap
         # re-inserts them) and the recency of ghost chunks.
         for chunk in chunks:
             self._record(chunk, now)
@@ -652,8 +652,9 @@ class OracleCafe(VideoCache):
     def _admit(self, chunk: ChunkId, now: float) -> None:
         state = self._stats[chunk]
         if math.isinf(state[0]):
-            # First fill with no IAT sample: seed with the estimate the
-            # admission decision used, falling back to the cache age.
+            # First fill with no IAT sample: seed with the estimate
+            # re-evaluated now (after this request's evictions and
+            # earlier fills), falling back to the cache age.
             seed = self._estimate_iat(chunk, now)
             if math.isinf(seed):
                 seed = self.cache_age(now)

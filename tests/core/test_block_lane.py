@@ -1,8 +1,8 @@
 """handle_span_block: the batched lane must mirror scalar handle_span.
 
-PullLRU, xLRU and LFU override :meth:`VideoCache.handle_span_block`
-with hoisted-invariant hot loops for the fleet replay lane; the
-contract is *observable identity* with the scalar path — same response
+PullLRU, xLRU, LFU and Cafe override :meth:`VideoCache.handle_span_block`
+with hoisted-invariant hot loops for the sweep and fleet replay lanes;
+the contract is *observable identity* with the scalar path — same response
 sequence, same end state, request by request.  These tests drive both
 lanes over the same randomized time-sorted stream and compare
 responses, disk contents and subsequent scalar behaviour.
@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.base import VideoCache
 from repro.sim.runner import build_cache
 
 K = 1024
-BLOCK_ALGOS = ["PullLRU", "xLRU", "LFU"]
+BLOCK_ALGOS = ["PullLRU", "xLRU", "LFU", "Cafe"]
 #: Algorithms relying on the default (scalar-delegating) block method —
 #: exercised to pin the base-class contract itself.
-DEFAULT_ALGOS = ["Cafe"]
+DEFAULT_ALGOS = ["LRU-K"]
 
 
 def request_columns(n: int = 400, videos: int = 23, seed: int = 11):
@@ -62,6 +63,17 @@ def occupancy(cache, videos: int = 23, chunks: int = 16):
         for c in range(chunks)
         if (v, c) in cache
     }
+
+
+@pytest.mark.parametrize("algo", BLOCK_ALGOS + DEFAULT_ALGOS)
+def test_block_method_roles(algo):
+    """BLOCK_ALGOS override the block entry; DEFAULT_ALGOS keep the
+    base-class default, so both sides of the contract stay covered."""
+    overrides = (
+        type(build_cache(algo, 8, chunk_bytes=K)).handle_span_block
+        is not VideoCache.handle_span_block
+    )
+    assert overrides == (algo in BLOCK_ALGOS)
 
 
 @pytest.mark.parametrize("algo", BLOCK_ALGOS + DEFAULT_ALGOS)

@@ -9,6 +9,7 @@ from repro.core.cafe import CafeCache, _future_term
 from repro.core.costs import CostModel
 from repro.sim.engine import replay
 from repro.trace.requests import Request
+from repro.verify.oracles import build_oracle
 
 K = 1024
 
@@ -161,6 +162,38 @@ class TestUnseenChunkEstimate:
         self._popularize(cache)
         response = cache.handle(req(5.0, 1, 2))
         assert response.decision is Decision.REDIRECT
+
+
+class TestFirstFillSeed:
+    def test_evicted_sibling_victim_changes_the_seed(self):
+        """A first fill is seeded after the request's evictions, not with
+        the estimate the admission decision used.
+
+        Disk 2, alpha 0.5: chunks 0 and 1 of video 1 are filled at t=0
+        (seeds 1.0 and 0.75).  At t=10 chunk 2 arrives with no history;
+        its decision estimate is the least-key sibling's IAT — chunk 0,
+        which is also the eviction victim.  Once chunk 0 is evicted the
+        seed scan sees only chunk 1, whose IAT differs.
+        """
+        cache = make_cache(disk=2, alpha=0.5)
+        oracle = build_oracle("Cafe", 2, alpha_f2r=0.5, chunk_bytes=K)
+        for r in (req(0.0, 1, 0), req(0.0, 1, 1)):
+            assert cache.handle(r) == oracle.handle(r)
+        request = req(10.0, 1, 2)
+        explained = cache.explain(request)
+        assert explained.victims == [(1, 0)]
+        decision_estimate = explained.missing_iats[(1, 2)]
+        assert decision_estimate == cache.chunk_iat((1, 0), 10.0) == 3.25
+        survivor_iat = cache.chunk_iat((1, 1), 10.0)
+        assert survivor_iat == 3.0625
+
+        response = cache.handle(request)
+        assert response == oracle.handle(request)
+        assert response.filled_chunks == 1 and response.evicted_chunks == 1
+        # dt is the seed; at t_last the Eq. 8 IAT is (1 - gamma) * dt
+        assert cache.chunk_iat((1, 2), 10.0) == 0.75 * survivor_iat
+        assert cache.chunk_iat((1, 2), 10.0) != 0.75 * decision_estimate
+        assert oracle._stats[(1, 2)][0] == survivor_iat
 
 
 class TestGhostHistory:

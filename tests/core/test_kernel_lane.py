@@ -38,11 +38,11 @@ from repro.verify.fuzz import FuzzScenario, adversarial_trace
 
 K = 1024
 
-#: kernel-lane contract cases: every kernel-native algorithm, plus Cafe
-#: for the base-class default entry point (Cafe has no kernel of its
-#: own; the default is the scalar block walk plus a miss scan, which
-#: KernelCache also takes for screen-less policies)
-ENTRY_ALGORITHMS = KERNEL_ALGORITHMS + ("Cafe",)
+#: kernel-lane contract cases: every kernel-native algorithm, plus the
+#: base-class default entry point (the scalar block walk plus a miss
+#: scan, which KernelCache also takes for screen-less policies) over
+#: Cafe's own block walk and over LRU-K's default block method
+ENTRY_ALGORITHMS = KERNEL_ALGORITHMS + ("Cafe", "LRU-K")
 
 
 def replay_kernel(cache, packed, block: int):

@@ -74,6 +74,39 @@ def test_soak_with_kill_is_exact(tmp_path):
     assert outcome.ok
 
 
+def test_soak_answers_over_long_lines(tmp_path):
+    """Injections alternate malformed and over-long lines; each is
+    answered on the live connection (``malformed`` / ``line-too-long``)
+    and the valid requests around it still apply exactly once."""
+    from repro.serve.protocol import MAX_LINE_BYTES
+    from repro.serve.soak import _OVERLONG_LINE
+
+    assert len(_OVERLONG_LINE.encode()) > MAX_LINE_BYTES
+    trace = _trace(300)
+    config = ServeConfig(
+        algorithm="Cafe",
+        disk_chunks=128,
+        chunk_bytes=K,
+        publish_interval=0.0,
+    )
+    outcome = run_soak(
+        trace,
+        config,
+        restarts=0,
+        malformed_every=25,
+        window=64,
+        socket_path=str(tmp_path / "serve.sock"),
+    )
+    assert outcome.overlong_sent == outcome.malformed_sent == 6
+    assert outcome.overlong_acked == outcome.overlong_sent
+    assert outcome.malformed_acked == outcome.malformed_sent
+    assert outcome.recoveries == 0, outcome.describe()
+    assert outcome.watermark == len(trace)
+    assert outcome.totals == outcome.batch, outcome.describe()
+    assert outcome.ok
+    assert "6 over-long line(s) (6 acked)" in outcome.describe()
+
+
 def test_shard_plan_per_shard_seqs_are_contiguous():
     from repro.serve.soak import shard_plan
 
@@ -137,6 +170,7 @@ def test_sharded_soak_with_worker_and_router_kills_is_exact(tmp_path):
     assert outcome.worker_kills >= 1, outcome.describe()
     assert outcome.router_kills >= 1, outcome.describe()
     assert outcome.malformed_acked == outcome.malformed_sent > 0
+    assert outcome.overlong_acked == outcome.overlong_sent > 0
     assert outcome.watermark == len(trace)
     assert outcome.totals == outcome.batch, outcome.describe()
     assert outcome.ok

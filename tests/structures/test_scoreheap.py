@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.structures.scoreheap import ScoreHeap
-from repro.structures.treap import TreapMap
+from tests.structures.treap import TreapMap
 
 
 class TestBasics:

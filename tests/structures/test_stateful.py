@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.structures.lru import AccessRecencyList
-from repro.structures.treap import TreapMap
+from tests.structures.treap import TreapMap
 
 ITEMS = st.integers(0, 25)
 SCORES = st.floats(-1e6, 1e6, allow_nan=False)

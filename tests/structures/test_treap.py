@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.structures.treap import TreapMap
+from tests.structures.treap import TreapMap
 
 
 class TestBasics:
