@@ -7,6 +7,7 @@ and GDS), and the caches' request rates bottleneck on them.
 """
 
 import random
+import time
 
 from repro.structures.ewma import IatEstimator
 from repro.structures.lru import AccessRecencyList
@@ -43,6 +44,50 @@ def test_lru_pop_oldest(benchmark):
             lru.pop_oldest()
 
     benchmark.pedantic(run, setup=setup, rounds=10)
+
+
+def _churn_seconds(size: int, keys: list) -> float:
+    """Time one LRU churn pass at ``size`` entries: touch each key,
+    evicting the oldest entry on a miss."""
+    lru = AccessRecencyList()
+    for key in range(size):
+        lru.touch(key, 0.0)
+    touch, pop_oldest = lru.touch, lru.pop_oldest
+    start = time.perf_counter()
+    t = 1.0
+    for key in keys:
+        if key not in lru:
+            pop_oldest()
+        touch(key, t)
+        t += 1.0
+    elapsed = time.perf_counter() - start
+    assert len(lru) == size
+    return elapsed
+
+
+def test_lru_churn_scaling():
+    """O(1) head: churn per operation at 100k entries stays within 3x of
+    1k entries.  Keys come from a universe twice the size, so about
+    half the touches evict.  The two sizes are timed alternately, best
+    of five, so both see the same machine load.  A plain
+    insertion-ordered dict fails this: reading its oldest key steps
+    over the deleted slots evictions leave at the front, so the cost
+    grows with the size."""
+    ops = 200_000
+    sizes = (1_000, 100_000)
+    keys = {}
+    for n in sizes:
+        rng = random.Random(n)
+        keys[n] = [rng.randrange(2 * n) for _ in range(ops)]
+    best = {n: float("inf") for n in sizes}
+    for _ in range(5):
+        for n in sizes:
+            best[n] = min(best[n], _churn_seconds(n, keys[n]) / ops)
+    small, large = best[1_000], best[100_000]
+    assert large <= 3.0 * small, (
+        f"churn at 100k entries {large * 1e9:.0f} ns/op is "
+        f"{large / small:.1f}x the 1k cost {small * 1e9:.0f} ns/op"
+    )
 
 
 def test_scoreheap_insert_remove_mixed(benchmark):

@@ -95,14 +95,15 @@ class PullThroughLruCache(VideoCache):
         return serve_response(len(missing), evicted)
 
     def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
-        # Hoisted block walk: one dict probe per chunk against the raw
-        # recency dict, no per-request method dispatch.  Observably
+        # Hoisted block walk: native OrderedDict operations on the raw
+        # recency list, no per-request method dispatch.  Observably
         # identical to handle_span element-wise (same probe/touch/evict
         # order), which the batched-lane equivalence tests enforce.
         disk_chunks = self.disk_chunks
         disk = self._disk
         entries = disk.raw_entries()
-        pop = entries.pop
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
         responses: list = []
         append = responses.append
         last_t = None
@@ -114,20 +115,20 @@ class PullThroughLruCache(VideoCache):
             missing = None
             for c in range(c0, c1 + 1):
                 chunk = (video, c)
-                if pop(chunk, None) is None:
-                    if missing is None:
-                        missing = [chunk]
-                    else:
-                        missing.append(chunk)
-                else:
+                if chunk in entries:
+                    move_to_end(chunk)
                     entries[chunk] = t
+                elif missing is None:
+                    missing = [chunk]
+                else:
+                    missing.append(chunk)
             if missing is None:
                 append(SERVE_HIT)
                 continue
             evicted = len(entries) + len(missing) - disk_chunks
             if evicted > 0:
                 for _ in range(evicted):
-                    del entries[next(iter(entries))]
+                    popitem(False)
             else:
                 evicted = 0
             for chunk in missing:
@@ -161,7 +162,8 @@ class PullThroughLruCache(VideoCache):
         disk_chunks = self.disk_chunks
         disk = self._disk
         entries = disk.raw_entries()
-        pop = entries.pop
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
 
         uniq, _order, _starts = block.video_groups()
         arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(entries))
@@ -194,20 +196,20 @@ class PullThroughLruCache(VideoCache):
             if scr == 2 and hits_valid:
                 for c in range(c0, c1 + 1):
                     chunk = (video, c)
-                    pop(chunk)
+                    move_to_end(chunk)
                     entries[chunk] = t
                 append(SERVE_HIT)
                 continue
             missing = None
             for c in range(c0, c1 + 1):
                 chunk = (video, c)
-                if pop(chunk, None) is None:
-                    if missing is None:
-                        missing = [chunk]
-                    else:
-                        missing.append(chunk)
-                else:
+                if chunk in entries:
+                    move_to_end(chunk)
                     entries[chunk] = t
+                elif missing is None:
+                    missing = [chunk]
+                else:
+                    missing.append(chunk)
             if missing is None:
                 append(SERVE_HIT)
                 continue
@@ -217,7 +219,7 @@ class PullThroughLruCache(VideoCache):
                     hits_valid = False
                     demoted_at = i + 1
                 for _ in range(evicted):
-                    del entries[next(iter(entries))]
+                    popitem(False)
             else:
                 evicted = 0
             for chunk in missing:

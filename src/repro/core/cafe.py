@@ -207,6 +207,7 @@ class CafeCache(VideoCache):
         ghosts = self._ghosts
         gentries = ghosts.raw_entries()
         gpop = gentries.pop
+        gpopitem = gentries.popitem
         video_chunks = self._video_chunks
         video_iat = self._video_iat
         inf = _INF
@@ -335,9 +336,7 @@ class CafeCache(VideoCache):
                         gpop(chunk, None)
                         siblings.add(chunk[1])
                     while len(gentries) > max_ghosts:
-                        oldest = next(iter(gentries))
-                        del gentries[oldest]
-                        stats_pop(oldest, None)
+                        stats_pop(gpopitem(False)[0], None)
                     if probe is not None:
                         for chunk in missing:
                             on_fill(t, chunk)
@@ -356,9 +355,7 @@ class CafeCache(VideoCache):
                         gentries[chunk] = t
                         ghost_t = t
                 while len(gentries) > max_ghosts:
-                    oldest = next(iter(gentries))
-                    del gentries[oldest]
-                    stats_pop(oldest, None)
+                    stats_pop(gpopitem(False)[0], None)
             if probe is not None:
                 on_redirect(t, reason)
             append(REDIRECT)

@@ -213,26 +213,27 @@ class XlruCache(VideoCache):
         since = self._requests_since_cleanup
         tracker = self._tracker
         tentries = tracker.raw_entries()
-        tpop = tentries.pop
+        tget = tentries.get
+        tmove = tentries.move_to_end
+        tvalues = tentries.values
+        tpopitem = tentries.popitem
         disk = self._disk
         dentries = disk.raw_entries()
-        dpop = dentries.pop
+        dmove = dentries.move_to_end
+        dvalues = dentries.values
+        dpopitem = dentries.popitem
         inf = float("inf")
         responses: list = []
         append = responses.append
         misses: list = []
         miss = misses.append
-        # Cached (key, access time) of the disk-recency head: the oldest
-        # entry changes only when it is itself touched or evicted, so
-        # the admission age read is O(1) amortized instead of a fresh
-        # next(iter(...)) per request.
-        head_key = None
-        head_t = 0.0
         i = -1
         last_t = None
         for t, video, c0, c1, scr in zip(ts, videos, c0s, c1s, screen):
             i += 1
-            last = tpop(video, None)
+            last = tget(video)
+            if last is not None:
+                tmove(video)
             tentries[video] = t
             last_t = t
             since += 1
@@ -241,15 +242,9 @@ class XlruCache(VideoCache):
                 # that can no longer pass the admission test.
                 since = 0
                 if len(dentries) >= disk_chunks:
-                    if head_key is None:
-                        head_key = next(iter(dentries))
-                        head_t = dentries[head_key]
-                    cutoff = t - (t - head_t) / alpha
-                    while tentries:
-                        oldest = next(iter(tentries))
-                        if tentries[oldest] >= cutoff:
-                            break
-                        del tentries[oldest]
+                    cutoff = t - (t - next(iter(dvalues()))) / alpha
+                    while tentries and next(iter(tvalues())) < cutoff:
+                        tpopitem(False)
             if scr and probe is None:
                 append(REDIRECT)
                 miss(i)
@@ -263,10 +258,7 @@ class XlruCache(VideoCache):
             if len(dentries) < disk_chunks:
                 age = inf
             else:
-                if head_key is None:
-                    head_key = next(iter(dentries))
-                    head_t = dentries[head_key]
-                age = t - head_t
+                age = t - next(iter(dvalues()))
             if probe is not None:
                 on_margin(age - (t - last) * alpha)
             if (t - last) * alpha > age:
@@ -284,15 +276,13 @@ class XlruCache(VideoCache):
             missing = None
             for c in range(c0, c1 + 1):
                 chunk = (video, c)
-                if dpop(chunk, None) is None:
-                    if missing is None:
-                        missing = [chunk]
-                    else:
-                        missing.append(chunk)
-                else:
+                if chunk in dentries:
+                    dmove(chunk)
                     dentries[chunk] = t
-                    if chunk == head_key:
-                        head_key = None
+                elif missing is None:
+                    missing = [chunk]
+                else:
+                    missing.append(chunk)
             if missing is None:
                 if probe is not None:
                     on_serve(t, 0, 0)
@@ -301,15 +291,13 @@ class XlruCache(VideoCache):
             evicted = len(dentries) + len(missing) - disk_chunks
             if evicted <= 0:
                 evicted = 0
+            elif probe is None:
+                for _ in range(evicted):
+                    dpopitem(False)
             else:
-                head_key = None
-                if probe is None:
-                    for _ in range(evicted):
-                        del dentries[next(iter(dentries))]
-                else:
-                    for _ in range(evicted):
-                        victim = next(iter(dentries))
-                        on_evict(t, victim, dpop(victim))
+                for _ in range(evicted):
+                    victim, victim_t = dpopitem(False)
+                    on_evict(t, victim, victim_t)
             for chunk in missing:
                 dentries[chunk] = t
             if probe is not None:

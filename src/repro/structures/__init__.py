@@ -4,7 +4,9 @@ The paper (Sections 5 and 6) prescribes two container shapes:
 
 * An access-recency list — a linked list of entries in sorted access-time
   order plus a hash map for O(1) lookup — used by the xLRU popularity
-  tracker and the xLRU disk cache (:class:`AccessRecencyList`).
+  tracker and the xLRU disk cache (:class:`AccessRecencyList`, backed by
+  ``collections.OrderedDict``, which is that list plus map; a plain
+  ``dict`` reads its oldest entry in O(deleted slots), not O(1)).
 * A binary-tree set ordered by virtual-timestamp keys plus a hash map,
   used by Cafe Cache where re-insertions happen at arbitrary key
   positions.  :class:`ScoreHeap` provides that contract — the

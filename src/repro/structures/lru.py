@@ -13,16 +13,20 @@ Insertion with an access time smaller than the current head is not
 possible (access times only move forward), which is what lets a plain
 recency-ordered list stand in for a priority queue.
 
-This implementation keeps the same asymptotics using an insertion-order
-preserving ``dict``: Python dicts iterate in insertion order, and
-re-inserting a key after deleting it moves it to the back, which is the
-"list head" here.  ``next(iter(d))`` is the oldest (least recently used)
-entry.
+The backing store is :class:`collections.OrderedDict`, which is exactly
+that list plus map: a C doubly linked list threaded through a hash
+table, so ``next(iter(od))``, ``popitem(last=False)`` and
+``move_to_end`` are all O(1).  A plain ``dict`` is not a substitute
+even though it also iterates in insertion order: deleting a key leaves
+a dummy slot that iteration steps over, and the slots are compacted
+only when the table resizes.  An LRU deletes at the front and
+re-inserts at the back, so the deleted prefix grows with the cache and
+reading the oldest entry of a dict costs O(size), not O(1).
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from collections import OrderedDict
 from typing import Generic, Hashable, Iterator, Optional, Tuple, TypeVar
 
 K = TypeVar("K", bound=Hashable)
@@ -42,7 +46,7 @@ class AccessRecencyList(Generic[K]):
     __slots__ = ("_entries", "_max_time")
 
     def __init__(self) -> None:
-        self._entries: dict[K, float] = {}
+        self._entries: OrderedDict[K, float] = OrderedDict()
         self._max_time: float = float("-inf")
 
     def __len__(self) -> int:
@@ -69,7 +73,8 @@ class AccessRecencyList(Generic[K]):
             )
         self._max_time = now
         entries = self._entries
-        entries.pop(key, None)  # one hash probe instead of contains+del
+        if key in entries:
+            entries.move_to_end(key)
         entries[key] = now
 
     def touch_all(self, keys, now: float) -> None:
@@ -88,9 +93,10 @@ class AccessRecencyList(Generic[K]):
             )
         self._max_time = now
         entries = self._entries
-        pop = entries.pop
+        move_to_end = entries.move_to_end
         for key in keys:
-            pop(key, None)
+            if key in entries:
+                move_to_end(key)
             entries[key] = now
 
     def pop_oldest_n(self, n: int) -> list[Tuple[K, float]]:
@@ -106,19 +112,22 @@ class AccessRecencyList(Generic[K]):
             evicted = list(entries.items())
             entries.clear()
             return evicted
-        victims = list(islice(iter(entries), n))
-        pop = entries.pop
-        return [(key, pop(key)) for key in victims]
+        popitem = entries.popitem
+        return [popitem(False) for _ in range(n)]
 
-    def raw_entries(self) -> dict:
-        """The backing recency dict, for batched cache hot paths.
+    def raw_entries(self) -> OrderedDict:
+        """The backing ``OrderedDict``, for batched cache hot paths.
 
-        Callers own the invariants while mutating it directly: access
-        times must stay non-decreasing, and re-recording a key must
-        ``pop`` it first so it moves to the back (exactly what
-        :meth:`touch` does).  After a bulk update, call
-        :meth:`advance_time` with the final access time so the guard in
-        :meth:`touch` stays correct for later scalar use.
+        The walks use its native O(1) operations: ``move_to_end`` then
+        assignment to re-record a hit, ``popitem(last=False)`` to evict
+        the oldest entry, ``next(iter(...))`` to read it.  Callers own
+        the invariants while mutating it directly: access times must
+        stay non-decreasing, and re-recording a present key must move
+        it to the back (``move_to_end``, or ``pop`` and re-insert), as
+        :meth:`touch` does — plain assignment alone leaves it in place.
+        After a bulk update, call :meth:`advance_time` with the final
+        access time so the guard in :meth:`touch` stays correct for
+        later scalar use.
         """
         return self._entries
 
@@ -142,23 +151,23 @@ class AccessRecencyList(Generic[K]):
         """
         if not self._entries:
             raise KeyError("oldest() on empty AccessRecencyList")
-        key = next(iter(self._entries))
-        return key, self._entries[key]
+        return next(iter(self._entries.items()))
 
     def pop_oldest(self) -> Tuple[K, float]:
-        """Remove and return the least recently used ``(key, access_time)``."""
-        key, t = self.oldest()
-        del self._entries[key]
-        return key, t
+        """Remove and return the least recently used ``(key, access_time)``.
+
+        Raises ``KeyError`` when empty.
+        """
+        if not self._entries:
+            raise KeyError("pop_oldest() on empty AccessRecencyList")
+        return self._entries.popitem(last=False)
 
     def remove(self, key: K) -> float:
         """Remove ``key`` and return its access time.
 
         Raises ``KeyError`` if the key is not present.
         """
-        t = self._entries[key]
-        del self._entries[key]
-        return t
+        return self._entries.pop(key)
 
     def discard(self, key: K) -> bool:
         """Remove ``key`` if present; return whether it was present."""
@@ -177,8 +186,7 @@ class AccessRecencyList(Generic[K]):
         """
         if not self._entries:
             return float("inf")
-        _, oldest_t = self.oldest()
-        return now - oldest_t
+        return now - next(iter(self._entries.values()))
 
     def evict_older_than(self, cutoff: float) -> list[Tuple[K, float]]:
         """Drop all entries whose access time is strictly below ``cutoff``.
@@ -187,13 +195,12 @@ class AccessRecencyList(Generic[K]):
         This is the "historic data ... is regularly cleaned up" operation
         of Section 5 for the popularity tracker.
         """
+        entries = self._entries
+        values = entries.values
+        popitem = entries.popitem
         evicted: list[Tuple[K, float]] = []
-        while self._entries:
-            key, t = self.oldest()
-            if t >= cutoff:
-                break
-            del self._entries[key]
-            evicted.append((key, t))
+        while entries and next(iter(values())) < cutoff:
+            evicted.append(popitem(False))
         return evicted
 
     def items(self) -> Iterator[Tuple[K, float]]:

@@ -6,6 +6,7 @@ ordering bugs unit tests miss — e.g. keys computed at different times
 disagreeing about eviction order (the Theorem 1 pitfall).
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -107,9 +108,83 @@ class RecencyMachine(RuleBasedStateMachine):
         for key, _t in evicted:
             del self.model[key]
 
+    @rule(items=st.lists(ITEMS, max_size=6), advance=st.floats(0.0, 100.0))
+    def touch_all(self, items, advance):
+        self.clock += advance
+        self.lru.touch_all(items, self.clock)
+        for item in items:
+            self.model.pop(item, None)
+            self.model[item] = self.clock
+
+    @rule(n=st.integers(0, 8))
+    def pop_oldest_n(self, n):
+        expected = list(self.model.items())[:n]
+        assert self.lru.pop_oldest_n(n) == expected
+        for key, _t in expected:
+            del self.model[key]
+
+    @rule(ahead=st.floats(0.0, 100.0))
+    def oldest_and_cache_age(self, ahead):
+        now = self.clock + ahead
+        if not self.model:
+            with pytest.raises(KeyError):
+                self.lru.oldest()
+            assert self.lru.cache_age(now) == float("inf")
+            return
+        key = next(iter(self.model))
+        assert self.lru.oldest() == (key, self.model[key])
+        assert self.lru.cache_age(now) == now - self.model[key]
+
+    @rule(item=ITEMS)
+    def remove(self, item):
+        if item not in self.model:
+            with pytest.raises(KeyError):
+                self.lru.remove(item)
+            return
+        assert self.lru.remove(item) == self.model.pop(item)
+
+    @rule(
+        items=st.lists(ITEMS, min_size=1, max_size=6),
+        capacity=st.integers(1, 12),
+        advance=st.floats(0.0, 100.0),
+    )
+    def raw_walk(self, items, capacity, advance):
+        """One request of the cache walks on the raw entries: hits move
+        to the back, then the oldest entries are evicted down to
+        ``capacity`` and the misses inserted, then the guard advances."""
+        self.clock += advance
+        t = self.clock
+        raw = self.lru.raw_entries()
+        missing = []
+        for item in dict.fromkeys(items):
+            if item in raw:
+                raw.move_to_end(item)
+                raw[item] = t
+            else:
+                missing.append(item)
+        evict = max(0, len(raw) + len(missing) - capacity)
+        victims = [raw.popitem(last=False) for _ in range(min(evict, len(raw)))]
+        for item in missing:
+            raw[item] = t
+        self.lru.advance_time(t)
+
+        for item in dict.fromkeys(items):
+            if item in self.model:
+                self.model.pop(item)
+                self.model[item] = t
+        expected = list(self.model.items())[: len(victims)]
+        assert victims == expected
+        for key, _t in expected:
+            del self.model[key]
+        for item in missing:
+            self.model[item] = t
+        with pytest.raises(ValueError, match="non-decreasing"):
+            self.lru.touch(items[0], t - 1.0)
+
     @invariant()
     def order_and_lookups_agree(self):
         assert list(self.lru) == list(self.model)
+        assert list(self.lru.items()) == list(self.model.items())
         for key, t in self.model.items():
             assert self.lru.last_access(key) == t
 

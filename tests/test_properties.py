@@ -115,3 +115,43 @@ def test_psychic_and_belady_agree_on_serve_everything_when_roomy(trace):
     belady = BeladyCache(big, chunk_bytes=K, cost_model=CostModel(1.0))
     result = replay(belady, trace)
     assert result.totals.num_redirected == 0
+
+
+@st.composite
+def single_chunk_sequences(draw):
+    """Time-ordered one-chunk requests over a small chunk universe."""
+    n = draw(st.integers(1, 80))
+    t = 0.0
+    requests = []
+    for _ in range(n):
+        t += draw(st.floats(0.0, 10.0))
+        video = draw(st.integers(0, 4))
+        c = draw(st.integers(0, 4))
+        requests.append(Request(t, video, c * K, c * K + K - 1))
+    return requests
+
+
+@pytest.mark.parametrize("lane", ["scalar", "block"])
+@settings(max_examples=60, deadline=None)
+@given(trace=single_chunk_sequences())
+def test_pull_lru_inclusion(lane, trace):
+    """Mattson's stack property: after every request, PullLRU's resident
+    set at disk ``d`` is a subset of its resident set at ``d + 1``.
+
+    Holds only for single-chunk requests: a multi-chunk request touches
+    its present chunks before inserting its missing ones, so the smaller
+    disk can keep a chunk the larger one evicted.  The scalar lane runs
+    ``touch``/``pop_oldest``, the block lane the raw-entries walk.
+    """
+    caches = [PullThroughLruCache(d, chunk_bytes=K) for d in range(1, 9)]
+    for r in trace:
+        c = r.b0 // K
+        resident = []
+        for cache in caches:
+            if lane == "scalar":
+                cache.handle(r)
+            else:
+                cache.handle_span_block([r.t], [r.video], [r.b0], [r.b1], [c], [c])
+            resident.append(set(cache._disk))
+        for smaller, larger in zip(resident, resident[1:]):
+            assert smaller <= larger
