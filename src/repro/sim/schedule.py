@@ -40,6 +40,7 @@ overwrite results).
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import signal
@@ -309,6 +310,50 @@ class SweepCheckpoint:
             os.close(dfd)
 
 
+_TERMINAL_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+@contextmanager
+def _terminal_signals_held():
+    """Block SIGTERM/SIGINT in this thread while the pool forks its
+    workers.  A handler running between a worker's fork and its
+    registration as a multiprocessing child could not see — and so not
+    stop — that worker; held signals are delivered on exit, once every
+    worker is registered.  Forked workers inherit the mask and drop it
+    in :func:`_release_terminal_signals`."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _TERMINAL_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _release_terminal_signals() -> None:
+    """Pool-worker initializer: unblock what :func:`_terminal_signals_held`
+    blocked at fork time."""
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _TERMINAL_SIGNALS)
+
+
+def _stop_children(grace_s: float = 2.0) -> None:
+    """Terminate this process's multiprocessing children (the sweep's
+    pool workers) and reap them, killing any still alive after
+    ``grace_s``.  A worker blocked on the pool's call queue would
+    otherwise outlive an ``os._exit`` of its parent indefinitely."""
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+    deadline = time.monotonic() + grace_s
+    for child in children:
+        child.join(max(0.0, deadline - time.monotonic()))
+        if child.is_alive():
+            child.kill()
+            child.join(0.5)
+
+
 @contextmanager
 def _terminal_signal_cleanup(shared, checkpoint, log):
     """SIGTERM/SIGINT handlers that release sweep resources first.
@@ -317,11 +362,13 @@ def _terminal_signal_cleanup(shared, checkpoint, log):
     ``finally`` blocks, which would leak the parent-owned ``/dev/shm``
     trace segment and leave a just-created checkpoint journal's
     directory entry unsynced.  While a parallel sweep is running, the
-    installed handler unlinks the segment, syncs the journal, then
-    exits with the conventional ``128 + signum`` status (``os._exit``,
-    so it never blocks on process-pool teardown).  SIGINT performs the
-    same cleanup but raises :class:`KeyboardInterrupt`, preserving the
-    existing Ctrl-C semantics; ``SharedTraceHandle.unlink`` is
+    installed handler unlinks the segment, syncs the journal, stops the
+    process-pool workers (terminate, a short join, then kill) so none is
+    orphaned, then exits with the conventional ``128 + signum`` status
+    (``os._exit``, so it never blocks on process-pool teardown).  SIGINT
+    performs the segment and journal cleanup but raises
+    :class:`KeyboardInterrupt`, preserving the existing Ctrl-C
+    semantics; ``SharedTraceHandle.unlink`` is
     idempotent, so the outer ``finally`` unlinking again is harmless.
     Signal handlers can only be installed from the main thread —
     elsewhere this is a no-op.
@@ -363,6 +410,7 @@ def _terminal_signal_cleanup(shared, checkpoint, log):
             os.kill(os.getpid(), signum)
             return
         _cleanup(signum)
+        _stop_children()
         os._exit(128 + signum)
 
     def _on_int(signum, frame):
@@ -901,14 +949,19 @@ class SweepScheduler:
         while pending:
             max_workers = min(self.workers, len(pending))
             try:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-                future_group = {
-                    pool.submit(
-                        _execute_group, group.kind, group.configs, requests,
-                        self.interval, None, self._tel_options(),
-                    ): (index, group)
-                    for index, group in pending
-                }
+                with _terminal_signals_held():
+                    pool = ProcessPoolExecutor(
+                        max_workers=max_workers,
+                        initializer=_release_terminal_signals,
+                    )
+                    future_group = {
+                        pool.submit(
+                            _execute_group, group.kind, group.configs,
+                            requests, self.interval, None,
+                            self._tel_options(),
+                        ): (index, group)
+                        for index, group in pending
+                    }
             except (OSError, ValueError, RuntimeError, ImportError) as exc:
                 # The pool cannot even start (sandbox, missing fork
                 # support, ...): nothing parallel will work — route all

@@ -251,6 +251,39 @@ sched.run(configs, requests)
 '''
 
 
+def _proc_stat(pid):
+    """``(state, ppid, starttime)`` of ``pid`` from ``/proc``, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            raw = fh.read()
+    except OSError:
+        return None
+    fields = raw.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1]), int(fields[19])
+
+
+def _children_of(pid):
+    """``{child pid: starttime}`` of the live children of ``pid``."""
+    out = {}
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            stat = _proc_stat(int(name))
+            if stat is not None and stat[1] == pid and stat[0] != "Z":
+                out[int(name)] = stat[2]
+    return out
+
+
+def _still_running(pids):
+    """The recorded ``{pid: starttime}`` processes that still run (a
+    zombie or a reused pid counts as gone)."""
+    alive = []
+    for pid, started in pids.items():
+        stat = _proc_stat(pid)
+        if stat is not None and stat[0] != "Z" and stat[2] == started:
+            alive.append(pid)
+    return alive
+
+
 @pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs a POSIX /dev/shm"
 )
@@ -260,7 +293,9 @@ def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
     The default SIGTERM disposition kills the process without running
     ``finally`` blocks, so the parent-owned shared trace segment would
     outlive the sweep.  The installed handler unlinks it, syncs the
-    checkpoint journal, and exits ``128 + SIGTERM``.
+    checkpoint journal, stops the pool workers, and exits
+    ``128 + SIGTERM``.  No child of the sweep (pool worker or
+    resource tracker) may outlive it.
     """
     import signal as signal_module
     import subprocess
@@ -294,6 +329,16 @@ def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
             assert proc.poll() is None, "sweep child died before sharing"
             time_module.sleep(0.02)
         assert observed, "sweep child never created a shared trace segment"
+        # both pool workers (plus the resource tracker) must be up at
+        # the signal, or the orphan check below proves nothing
+        children = {}
+        while time_module.monotonic() < deadline:
+            children = _children_of(proc.pid)
+            if len(children) >= 3:
+                break
+            assert proc.poll() is None, "sweep child died before its pool"
+            time_module.sleep(0.02)
+        assert len(children) >= 2, f"pool never started: {children}"
         proc.send_signal(signal_module.SIGTERM)
         code = proc.wait(timeout=30)
     finally:
@@ -304,6 +349,21 @@ def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
     assert code == 128 + signal_module.SIGTERM
     leftover = observed & set(os.listdir("/dev/shm"))
     assert leftover == set(), f"leaked shared segments: {sorted(leftover)}"
+    orphans = _still_running(children)
+    settle = time_module.monotonic() + 5.0
+    while orphans and time_module.monotonic() < settle:
+        time_module.sleep(0.05)
+        orphans = _still_running(children)
+    described = {pid: _proc_stat(pid) for pid in orphans}
+    for pid in orphans:  # do not leave them behind for later tests
+        try:
+            os.kill(pid, signal_module.SIGKILL)
+        except OSError:
+            pass
+    assert orphans == [], (
+        f"sweep children outlived it (pid: state, ppid, start): {described} "
+        f"of {children}"
+    )
 
 
 def test_checkpoint_sync_tolerates_missing_and_flushes(tmp_path):

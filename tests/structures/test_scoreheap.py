@@ -157,6 +157,49 @@ class TestPopNSmallest:
         split.check_invariants()
 
 
+class TestLazyRaise:
+    """A raised key is one index write: the item's heap entry lags below
+    the live key until it reaches the top."""
+
+    K = 12
+    ROUNDS = 40
+
+    def churned(self):
+        """K raised items among K untouched ones, every raised item's
+        heap entry still lagging (nothing has read the top since)."""
+        h = ScoreHeap()
+        for i in range(2 * self.K):
+            h.insert(i, float(i % 5))
+        entries = len(h._heap)
+        for rnd in range(self.ROUNDS):
+            for i in range(0, 2 * self.K, 2):
+                h.insert(i, h.score(i) + 0.25 * (rnd % 3))
+        assert len(h._heap) == entries, "a raised key pushed a heap entry"
+        return h
+
+    def test_raise_pushes_nothing(self):
+        h = self.churned()
+        h.check_invariants()
+        raised = sum(0.25 * (rnd % 3) for rnd in range(self.ROUNDS))
+        assert [h.score(i) for i in range(2 * self.K)] == [
+            float(i % 5) + (raised if i % 2 == 0 else 0.0)
+            for i in range(2 * self.K)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 30])
+    @pytest.mark.parametrize("exclude", [None, {0, 3, 4}, set(range(0, 24, 2))])
+    def test_fused_equals_split_over_lagging_entries(self, n, exclude):
+        fused, split = self.churned(), self.churned()
+        want = split.n_smallest(n, exclude=exclude)
+        for item, _score in want:
+            split.remove(item)
+        assert fused.pop_n_smallest(n, exclude=exclude) == want
+        assert fused.raw_index() == split.raw_index()
+        assert list(fused.items_ascending()) == list(split.items_ascending())
+        fused.check_invariants()
+        split.check_invariants()
+
+
 @settings(max_examples=60)
 @given(
     ops=st.lists(

@@ -17,6 +17,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.structures.lru import AccessRecencyList
+from repro.structures.scoreheap import ScoreHeap
 from tests.structures.treap import TreapMap
 
 ITEMS = st.integers(0, 25)
@@ -189,8 +190,98 @@ class RecencyMachine(RuleBasedStateMachine):
             assert self.lru.last_access(key) == t
 
 
+class ScoreHeapMachine(RuleBasedStateMachine):
+    """ScoreHeap against a plain ``item -> (score, seq)`` dict.
+
+    Raised keys dominate the rule mix (two raise rules, one of them
+    raising the current minimum so a lagging representative sits at the
+    top) because a raise is the one operation that leaves the heap
+    behind the index: it writes the index and pushes nothing.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.heap = ScoreHeap()
+        self.model: dict[int, tuple[float, int]] = {}
+        self.seq = 0
+
+    def _insert(self, item, score):
+        self.heap.insert(item, score)
+        self.model[item] = (score, self.seq)
+        self.seq += 1
+
+    def _ascending(self, exclude=frozenset()):
+        ranked = sorted(self.model, key=lambda k: self.model[k])
+        return [(k, self.model[k][0]) for k in ranked if k not in exclude]
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), bumps=st.lists(
+        st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=6))
+    def raise_keys(self, data, bumps):
+        for bump in bumps:
+            item = data.draw(st.sampled_from(sorted(self.model)))
+            self._insert(item, self.model[item][0] + bump)
+
+    @precondition(lambda self: self.model)
+    @rule(bump=st.floats(0.0, 1e3, allow_nan=False))
+    def raise_min(self, bump):
+        item = min(self.model, key=lambda k: self.model[k])
+        self._insert(item, self.model[item][0] + bump)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), drop=st.floats(1e-3, 1e3, allow_nan=False))
+    def lower_key(self, data, drop):
+        item = data.draw(st.sampled_from(sorted(self.model)))
+        self._insert(item, self.model[item][0] - drop)
+
+    @rule(item=ITEMS, score=SCORES)
+    def insert(self, item, score):
+        self._insert(item, score)
+
+    @rule(item=ITEMS)
+    def discard(self, item):
+        assert self.heap.discard(item) is (item in self.model)
+        self.model.pop(item, None)
+
+    @precondition(lambda self: self.model)
+    @rule()
+    def pop_min(self):
+        want = self._ascending()[0]
+        assert self.heap.pop_min() == want
+        del self.model[want[0]]
+
+    @precondition(lambda self: self.model)
+    @rule()
+    def min_item(self):
+        assert self.heap.min_item() == self._ascending()[0]
+
+    @rule(n=st.integers(0, 8), exclude=st.sets(ITEMS, max_size=6))
+    def n_smallest(self, n, exclude):
+        assert self.heap.n_smallest(n, exclude) == self._ascending(exclude)[:n]
+
+    @rule(n=st.integers(0, 8), exclude=st.sets(ITEMS, max_size=6))
+    def pop_n_smallest(self, n, exclude):
+        want = self._ascending(exclude)[:n]
+        assert self.heap.pop_n_smallest(n, exclude) == want
+        for item, _score in want:
+            del self.model[item]
+
+    @invariant()
+    def heap_is_valid(self):
+        self.heap.check_invariants()
+
+    @invariant()
+    def contents_agree(self):
+        assert len(self.heap) == len(self.model)
+        assert self.heap.raw_index() == self.model
+        assert list(self.heap.items_ascending()) == self._ascending()
+
+
 TestTreapStateful = TreapMachine.TestCase
 TestTreapStateful.settings = settings(max_examples=40, stateful_step_count=60)
 
 TestRecencyStateful = RecencyMachine.TestCase
 TestRecencyStateful.settings = settings(max_examples=40, stateful_step_count=60)
+
+TestScoreHeapStateful = ScoreHeapMachine.TestCase
+TestScoreHeapStateful.settings = settings(max_examples=60, stateful_step_count=80)
