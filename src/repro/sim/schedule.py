@@ -338,15 +338,15 @@ def _release_terminal_signals() -> None:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _TERMINAL_SIGNALS)
 
 
-def _stop_children(grace_s: float = 2.0) -> None:
+def _stop_children() -> None:
     """Terminate this process's multiprocessing children (the sweep's
-    pool workers) and reap them, killing any still alive after
-    ``grace_s``.  A worker blocked on the pool's call queue would
-    otherwise outlive an ``os._exit`` of its parent indefinitely."""
+    pool workers) and reap them, killing any still alive after 2 s.
+    A worker blocked on the pool's call queue would otherwise outlive
+    an ``os._exit`` of its parent indefinitely."""
     children = multiprocessing.active_children()
     for child in children:
         child.terminate()
-    deadline = time.monotonic() + grace_s
+    deadline = time.monotonic() + 2.0
     for child in children:
         child.join(max(0.0, deadline - time.monotonic()))
         if child.is_alive():
